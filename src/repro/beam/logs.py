@@ -10,10 +10,17 @@ at a different relative-error tolerance — without re-simulating anything.
 Records whose corrupted-element list exceeds the cap keep a uniform
 subsample plus the exact summary metrics, and are flagged ``truncated``;
 re-filtering such a record uses the stored subsample as an estimate.
+
+Format 2 stores a report's element arrays (``indices``, ``read``,
+``expected``, ``locality_indices``) as base64 of their raw little-endian
+bytes (``<i8``/``<f8``): one encode per array, and bit-exact down to NaN
+payloads and signed zeros.  Format 1 stored ``float.hex`` strings and
+integer lists; it is still read, never written.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,8 +35,26 @@ from repro.core.locality import Locality
 from repro.core.metrics import ErrorObservation
 from repro.faults.outcomes import ExecutionRecord, OutcomeKind
 
-#: Resource-kind strings round-trip as plain values.
-_FORMAT_VERSION = 1
+#: The version :func:`log_lines` writes.  Journal rows share the row
+#: encoding and move in step with ``JOURNAL_FORMAT_VERSION``.
+_FORMAT_VERSION = 2
+
+
+def _pack(array: np.ndarray, dtype: str) -> str:
+    """Base64 of an array's raw bytes in the given little-endian dtype."""
+    data = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return base64.b64encode(data).decode("ascii")
+
+
+def _unpack(text, dtype: str, native) -> np.ndarray:
+    """Inverse of :func:`_pack`: a fresh, writable, native-order array."""
+    if not isinstance(text, str):
+        raise ValueError(
+            f"expected a base64 array (log format {_FORMAT_VERSION}), "
+            f"got {type(text).__name__}"
+        )
+    data = base64.b64decode(text, validate=True)
+    return np.frombuffer(data, dtype=dtype).astype(native)
 
 
 def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
@@ -38,10 +63,13 @@ def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
     # A report rebuilt from a capped log already holds a subsample; the
     # flag must survive a rewrite even when the subsample fits the cap.
     truncated = report.truncated or n > max_elements
+    indices, read, expected = obs.indices, obs.read, obs.expected
+    locality = obs.locality_indices
     if n > max_elements:
         keep = np.linspace(0, n - 1, max_elements).astype(int)
-    else:
-        keep = np.arange(n)
+        indices, read, expected = indices[keep], read[keep], expected[keep]
+        if locality is not None:
+            locality = locality[keep]
     payload = {
         "n_incorrect": report.n_incorrect,
         "mean_relative_error": report.mean_relative_error,
@@ -52,13 +80,12 @@ def _report_payload(report: CriticalityReport, max_elements: int) -> dict:
         "filtered_locality": report.filtered_locality.value,
         "shape": list(obs.shape),
         "truncated": truncated,
-        "indices": obs.indices[keep].tolist(),
-        # float.hex round-trips exactly, including inf/nan.
-        "read": [float(v).hex() for v in obs.read[keep]],
-        "expected": [float(v).hex() for v in obs.expected[keep]],
+        "indices": _pack(indices, "<i8"),
+        "read": _pack(read, "<f8"),
+        "expected": _pack(expected, "<f8"),
     }
-    if obs.locality_indices is not None:
-        payload["locality_indices"] = obs.locality_indices[keep].tolist()
+    if locality is not None:
+        payload["locality_indices"] = _pack(locality, "<i8")
     return payload
 
 
@@ -131,8 +158,9 @@ def write_log(result: CampaignResult, path: str | Path, *, max_elements: int = 4
     return path
 
 
-def _rebuild_report(payload: dict) -> CriticalityReport:
-    obs = ErrorObservation(
+def _observation_v1(payload: dict) -> ErrorObservation:
+    """Format 1: integer lists and ``float.hex`` strings."""
+    return ErrorObservation(
         shape=tuple(payload["shape"]),
         indices=np.array(payload["indices"], dtype=np.intp).reshape(
             len(payload["indices"]), len(payload["shape"])
@@ -145,6 +173,34 @@ def _rebuild_report(payload: dict) -> CriticalityReport:
             else None
         ),
     )
+
+
+def _observation_v2(payload: dict) -> ErrorObservation:
+    """Format 2: base64 of the raw little-endian array bytes."""
+    read = _unpack(payload["read"], "<f8", np.float64)
+    n = len(read)
+    locality = None
+    if "locality_indices" in payload:
+        locality = _unpack(payload["locality_indices"], "<i8", np.intp)
+        if n:
+            locality = locality.reshape(n, -1)
+    return ErrorObservation(
+        shape=tuple(payload["shape"]),
+        indices=_unpack(payload["indices"], "<i8", np.intp).reshape(
+            n, len(payload["shape"])
+        ),
+        read=read,
+        expected=_unpack(payload["expected"], "<f8", np.float64),
+        locality_indices=locality,
+    )
+
+
+#: Every version :func:`read_log` and :func:`row_to_record` decode.
+_OBSERVATION_DECODERS = {1: _observation_v1, 2: _observation_v2}
+
+
+def _rebuild_report(payload: dict, format_version: int) -> CriticalityReport:
+    obs = _OBSERVATION_DECODERS[format_version](payload)
     if not payload["truncated"]:
         # Full data: recompute, then sanity-belongs to the stored summary.
         return evaluate_execution(obs, threshold_pct=payload["threshold_pct"])
@@ -163,11 +219,21 @@ def _rebuild_report(payload: dict) -> CriticalityReport:
     )
 
 
-def row_to_record(row: dict) -> ExecutionRecord:
-    """Rebuild one :class:`ExecutionRecord` from its log/journal row."""
+def row_to_record(
+    row: dict, *, format_version: int = _FORMAT_VERSION
+) -> ExecutionRecord:
+    """Rebuild one :class:`ExecutionRecord` from its log/journal row.
+
+    ``format_version`` is the (readable) version of the log or journal
+    the row came from; a row in another encoding raises :class:`ValueError`.
+    """
     from repro.arch.resources import ResourceKind
 
-    report = _rebuild_report(row["report"]) if "report" in row else None
+    report = (
+        _rebuild_report(row["report"], format_version)
+        if "report" in row
+        else None
+    )
     fault = None
     if "fault" in row:
         payload = row["fault"]
@@ -194,12 +260,26 @@ def row_to_record(row: dict) -> ExecutionRecord:
     )
 
 
+def upgrade_row(row: dict, *, format_version: int) -> dict:
+    """Re-encode an older-format row in the current format, bit for bit.
+
+    The row is decoded and re-serialised with a cap equal to the elements
+    it holds, so nothing is subsampled again; a truncated row stays
+    flagged.  The result is the row the current writer emits for the same
+    record.
+    """
+    record = row_to_record(row, format_version=format_version)
+    kept = len(record.report.observation) if record.report is not None else 0
+    return record_to_row(record, max_elements=kept)
+
+
 def read_log(path: str | Path) -> CampaignResult:
     """Reconstruct a :class:`CampaignResult` from a JSONL log.
 
     The reconstructed result supports every campaign-level analysis
     (counts, ratios, FIT breakdowns, re-filtering) without access to the
-    simulator state that produced it.
+    simulator state that produced it.  Logs of every readable format
+    version load.
     """
     path = Path(path)
     with path.open() as fh:
@@ -207,11 +287,13 @@ def read_log(path: str | Path) -> CampaignResult:
     if not lines:
         raise ValueError(f"empty log file: {path}")
     header = json.loads(lines[0])
-    if header.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported log format {header.get('format_version')!r}"
-        )
-    records = [row_to_record(json.loads(line)) for line in lines[1:]]
+    version = header.get("format_version")
+    if version not in _OBSERVATION_DECODERS:
+        raise ValueError(f"unsupported log format {version!r}")
+    records = [
+        row_to_record(json.loads(line), format_version=version)
+        for line in lines[1:]
+    ]
     return CampaignResult(
         kernel_name=header["kernel"],
         device_name=header["device"],

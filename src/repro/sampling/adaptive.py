@@ -308,8 +308,7 @@ class AdaptiveCampaign:
                     "it was written by a different spec or policy"
                 )
             recorded = {
-                key: value for key, value in row.items()
-                if key not in ("kind", "crc")
+                key: value for key, value in row.items() if key != "kind"
             }
             if recorded != plan.payload:
                 raise AdaptiveResumeError(

@@ -260,27 +260,26 @@ class CampaignService:
         leaves admission open but nothing draining (tests use it to pin
         backpressure deterministically; call :meth:`start_worker` later).
         """
-        for summary in self.store.summaries():
+        for run in self.store.runs():
             if (
                 self.config.resume_incomplete
-                and summary.status == RunStatus.INCOMPLETE
+                and run.status == RunStatus.INCOMPLETE
             ):
-                run = self.store.load(summary.run_id)
                 with self._cond:
                     state = JobState(
-                        run_id=summary.run_id,
+                        run_id=run.run_id,
                         spec=run.spec,
                         submitted_at=time.time(),
                         resumed=True,
                     )
-                    self._jobs[summary.run_id] = state
-                    self._admission.append(summary.run_id)
+                    self._jobs[run.run_id] = state
+                    self._admission.append(run.run_id)
             else:
                 # Completed runs are served from the store; remember them
                 # so status answers do not re-read the journal header.
-                self._jobs[summary.run_id] = JobState(
-                    run_id=summary.run_id,
-                    spec=self.store.load(summary.run_id).spec,
+                self._jobs[run.run_id] = JobState(
+                    run_id=run.run_id,
+                    spec=run.spec,
                     status="complete",
                     cached=True,
                     submitted_at=time.time(),
@@ -476,15 +475,14 @@ class CampaignService:
             "jobs": by_status,
         }
 
-    def _durable_progress(self, run_id: str) -> "tuple[int, int | None, bool]":
-        """(records durable, expected total, closed?) from the journal."""
+    def _stored_run(self, run_id: str):
+        """The run's durable state, or ``None`` when it has no usable journal."""
         if not self.store.has(run_id):
-            return 0, None, False
+            return None
         try:
-            run = self.store.load(run_id)
+            return self.store.load(run_id)
         except JournalError:
-            return 0, None, False
-        return len(run.rows), run.spec.n_faulty, run.close is not None
+            return None
 
     def job_status(self, run_id: str) -> dict:
         """The ``GET /v1/campaigns/{run_id}`` payload (or a 404)."""
@@ -493,9 +491,11 @@ class CampaignService:
             snapshot = None
             if job is not None:
                 snapshot = JobState(**vars(job))
-        done, total, closed = self._durable_progress(run_id)
+        run = self._stored_run(run_id)
+        done = len(run.rows) if run is not None else 0
+        total = run.spec.n_faulty if run is not None else None
         if snapshot is None:
-            if total is None:
+            if run is None:
                 raise _ApiError(
                     404, "unknown_run",
                     f"no campaign with run id {run_id!r} "
@@ -503,9 +503,8 @@ class CampaignService:
                 )
             # In the store but never submitted to this server instance
             # (e.g. written by `repro queue` against the same directory).
-            status = "complete" if closed else "incomplete"
-            spec = self.store.load(run_id).spec
-            snapshot = JobState(run_id=run_id, spec=spec, status=status)
+            status = "complete" if run.close is not None else "incomplete"
+            snapshot = JobState(run_id=run_id, spec=run.spec, status=status)
         payload = {
             "run_id": run_id,
             "label": snapshot.label,

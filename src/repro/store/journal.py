@@ -8,10 +8,10 @@ intermediate state.  A :class:`Journal` is that state for a campaign run:
 * **Append-only JSONL.**  One JSON object per line.  The first record is
   always ``kind="open"`` (the run header); struck executions land as
   ``kind="record"`` lines; a finished run ends with ``kind="close"``.
-* **CRC-checked.**  Every line carries a ``crc`` field — the CRC-32 of the
-  record's canonical JSON encoding (sorted keys, compact separators)
-  without the ``crc`` field itself.  A flipped bit anywhere in a line is
-  detected on open.
+* **CRC-checked.**  Every line ends with a ``crc`` field: the CRC-32 of
+  the line's own bytes as :func:`json.dumps` wrote them before the field
+  was added.  The reader checks it on the raw bytes, with no re-encode.
+  A flipped bit anywhere in a line is detected on open.
 * **fsync'd batches.**  :meth:`append` only buffers; :meth:`commit` writes
   the batch, flushes, and ``fsync``\\ s.  A record is *durable* exactly when
   its commit returned — the unit the resume path can trust.
@@ -24,7 +24,10 @@ intermediate state.  A :class:`Journal` is that state for a campaign run:
 Journals never rewrite history: resuming a run appends to the same file,
 and the reader treats the set of ``record`` lines as unordered (records
 are keyed by execution index; per-execution RNG seeding makes them
-independent of arrival order).
+independent of arrival order).  The one exception is a journal written
+in format 1 (CRC over a canonical re-encoding, ``float.hex`` rows): it
+still loads read-only as written, and opening it for append first
+rewrites it in the current format, atomically (temp file, fsync, rename).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ __all__ = [
     "scan_journal",
 ]
 
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
 
 
 class JournalError(ValueError):
@@ -61,36 +64,75 @@ class JournalCorruptError(JournalError):
     """
 
 
-def _canonical(body: dict) -> str:
-    """Deterministic JSON for CRC purposes: sorted keys, compact.
-
-    Unlike the store's spec hashing (:mod:`repro._util.hashing`), this is
-    deliberately *lenient* about non-finite floats: criticality summaries
-    legitimately carry ``Infinity``/``NaN`` (the log layer's hex-exact
-    round-trip tests pin that), and ``json.dumps``/``loads`` round-trips
-    them stably — which is all a checksum needs.
-    """
-    return json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
-def _crc_of(payload: dict) -> str:
-    """CRC-32 (8 hex digits) over the canonical encoding sans ``crc``."""
-    body = {key: value for key, value in payload.items() if key != "crc"}
-    return f"{zlib.crc32(_canonical(body).encode('ascii')) & 0xFFFFFFFF:08x}"
+def _crc32(data: bytes) -> str:
+    return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
 
 
 def _seal(payload: dict) -> str:
-    """Render one journal line: payload + its CRC, newline-terminated."""
-    sealed = dict(payload)
-    sealed["crc"] = _crc_of(payload)
-    return json.dumps(sealed) + "\n"
+    """Render one journal line: payload + the CRC of its bytes, plus newline.
+
+    The payload is encoded once; the ``crc`` key is spliced in last, so
+    the checked bytes are the line minus that key.  ``json.dumps`` keeps
+    ``Infinity``/``NaN`` (criticality summaries carry them), and the
+    checksum covers them like any other bytes.
+    """
+    body = json.dumps(payload)
+    return f'{body[:-1]}, "crc": "{_crc32(body.encode())}"}}\n'
+
+
+def _crc_ok_v2(raw: bytes, payload: dict) -> bool:
+    tail = f', "crc": "{payload["crc"]}"}}'.encode()
+    return raw.endswith(tail) and (
+        _crc32(raw[: -len(tail)] + b"}") == payload["crc"]
+    )
+
+
+def _crc_ok_v1(raw: bytes, payload: dict) -> bool:
+    """Format 1: CRC of the canonical encoding (sorted keys, compact)."""
+    body = {key: value for key, value in payload.items() if key != "crc"}
+    canonical = json.dumps(
+        body, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+    )
+    return payload["crc"] == _crc32(canonical.encode("ascii"))
+
+
+#: CRC check per readable format version, chosen by the ``open`` header.
+_CRC_CHECKS = {1: _crc_ok_v1, 2: _crc_ok_v2}
+
+
+def _upgrade_v1(record: dict) -> dict:
+    """A format-1 record as the current writer emits it (same bits)."""
+    kind = record.get("kind")
+    if kind == "open":
+        return dict(record, journal_format_version=JOURNAL_FORMAT_VERSION)
+    if kind == "record" and "row" in record:
+        from repro.beam.logs import upgrade_row
+
+        return dict(record, row=upgrade_row(record["row"], format_version=1))
+    return record
+
+
+def _rewrite(path: Path, records: list) -> None:
+    """Replace a journal by ``records`` atomically: temp file, fsync, rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as fh:
+        fh.write("".join(_seal(record) for record in records).encode())
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @dataclass
 class ScanResult:
     """What :func:`scan_journal` found in a journal file."""
 
-    records: list = field(default_factory=list)  # validated payloads, in order
+    records: list = field(default_factory=list)  # valid payloads sans crc, in order
+    version: "int | None" = None  # the open header's journal_format_version
     valid_bytes: int = 0        # prefix length holding only durable records
     torn_bytes: int = 0         # trailing bytes belonging to a torn write
     torn_reason: str = ""       # why the tail was judged torn ("" if clean)
@@ -107,6 +149,7 @@ def scan_journal(path: "str | Path") -> ScanResult:
     path = Path(path)
     data = path.read_bytes()
     result = ScanResult()
+    crc_ok = None  # picked by the first line (the open header)
     offset = 0
     lines = data.split(b"\n")
     # split() yields a final "" element when data ends with a newline; any
@@ -125,14 +168,18 @@ def scan_journal(path: "str | Path") -> ScanResult:
             torn_reason = "blank line"
         else:
             try:
-                payload = json.loads(raw.decode("utf-8"))
+                payload = json.loads(raw)
             except (json.JSONDecodeError, UnicodeDecodeError):
                 torn_reason = "unparsable JSON"
         if payload is not None and not torn_reason:
             if not isinstance(payload, dict) or "crc" not in payload:
                 torn_reason = "record without crc"
-            elif payload["crc"] != _crc_of(payload):
-                torn_reason = "crc mismatch"
+            else:
+                if crc_ok is None:
+                    result.version = payload.get("journal_format_version")
+                    crc_ok = _CRC_CHECKS.get(result.version, _crc_ok_v2)
+                if not crc_ok(raw, payload):
+                    torn_reason = "crc mismatch"
         if torn_reason:
             # Only the *tail* may be torn: every byte after this line must
             # belong to the same interrupted write (i.e. nothing but this
@@ -145,6 +192,7 @@ def scan_journal(path: "str | Path") -> ScanResult:
             result.torn_bytes = len(data) - offset
             result.torn_reason = torn_reason
             break
+        del payload["crc"]
         result.records.append(payload)
         offset += line_bytes
         result.valid_bytes = offset
@@ -160,14 +208,29 @@ class Journal:
       header record (immediately durable).
     * :meth:`Journal.open` — re-open an existing journal, validating CRCs
       and truncating a torn tail; appending then resumes the run.
+
+    A journal open for append keeps the header, ``plan``, ``close`` and
+    other control records in memory, plus the set of durable ``record``
+    indices — not the rows themselves, which only the file holds.
     """
 
     def __init__(self, path: Path, records: list, *, _fh=None):
         self.path = Path(path)
-        self._records = records
+        self._records: list = []
+        self._done: set = set()
+        self._rows_on_disk = False  # record rows dropped from memory
         self._pending: list[dict] = []
         self._fh = _fh
-        self._closed_fh = _fh is None
+        self._retain(records)
+
+    def _retain(self, records: list) -> None:
+        for record in records:
+            if record.get("kind") == "record":
+                self._done.add(record.get("index"))
+                if self._fh is not None:
+                    self._rows_on_disk = True
+                    continue
+            self._records.append(record)
 
     # -- constructors ------------------------------------------------------------
 
@@ -206,19 +269,24 @@ class Journal:
         head = scan.records[0]
         if head.get("kind") != "open":
             raise JournalError(f"{path}: first record is not an open header")
-        version = head.get("journal_format_version")
-        if version != JOURNAL_FORMAT_VERSION:
-            raise JournalError(f"{path}: unsupported journal format {version!r}")
+        if scan.version not in _CRC_CHECKS:
+            raise JournalError(
+                f"{path}: unsupported journal format {scan.version!r}"
+            )
         if read_only:
             return cls(path, scan.records, _fh=None)
-        if scan.torn_bytes:
+        records = scan.records
+        if scan.version != JOURNAL_FORMAT_VERSION:
+            records = [_upgrade_v1(record) for record in records]
+            _rewrite(path, records)  # also drops any torn tail
+        elif scan.torn_bytes:
             # Drop the torn tail so the append stream restarts cleanly at
             # the last durable record.
             with path.open("r+b") as fh:
                 fh.truncate(scan.valid_bytes)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return cls(path, scan.records, _fh=path.open("ab"))
+        return cls(path, records, _fh=path.open("ab"))
 
     # -- querying ----------------------------------------------------------------
 
@@ -228,11 +296,21 @@ class Journal:
         return self._records[0]
 
     def records(self, kind: "str | None" = None) -> list:
-        """Durable records (committed, CRC-valid), optionally by kind."""
-        out = list(self._records)
-        if kind is not None:
-            out = [record for record in out if record.get("kind") == kind]
-        return out
+        """Durable records (committed, CRC-valid), optionally by kind.
+
+        On a journal open for append, ``record`` rows are re-read from
+        the file.
+        """
+        out = self._records
+        if self._rows_on_disk and kind in (None, "record"):
+            out = scan_journal(self.path).records
+        if kind is None:
+            return list(out)
+        return [record for record in out if record.get("kind") == kind]
+
+    def done_indices(self) -> set:
+        """Execution indices of the durable ``record`` rows."""
+        return set(self._done)
 
     @property
     def close_record(self) -> "dict | None":
@@ -275,10 +353,10 @@ class Journal:
             return 0
         batch = self._pending
         self._pending = []
-        self._fh.write("".join(_seal(record) for record in batch).encode("utf-8"))
+        self._fh.write("".join(_seal(record) for record in batch).encode())
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        self._records.extend(batch)
+        self._retain(batch)
         metrics = obs_runtime.get_metrics()
         if metrics is not None:
             metrics.counter(

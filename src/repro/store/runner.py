@@ -10,7 +10,7 @@ make the resumed output *bit-identical* to an uninterrupted run:
    index, independent of chunking and arrival order;
 2. journal rows reuse the campaign-log serialisation
    (:func:`repro.beam.logs.record_to_row`), which round-trips exactly
-   (hex floats), so a journaled record re-serialises byte-for-byte;
+   (raw array bytes), so a journaled record re-serialises byte-for-byte;
 3. the final result is assembled by the same
    :meth:`~repro.beam.campaign.Campaign.result_from_records` arithmetic
    either way.
@@ -289,8 +289,7 @@ def execute_spec(
             return RunOutcome(
                 run_id=run_id, result=result, resumed=len(records_by_index)
             )
-        rows = [record["row"] for record in journal.records("record")]
-        done = {row["index"] for row in rows}
+        done = journal.done_indices()
         prior = stored.records()
     try:
         result = campaign.run(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util.text import format_table
-from repro.store.journal import Journal, JournalError
+from repro.store.journal import JOURNAL_FORMAT_VERSION, Journal, JournalError
 from repro.store.spec import CampaignSpec
 
 __all__ = ["RunStatus", "RunSummary", "StoredRun", "CampaignStore"]
@@ -90,6 +90,7 @@ class StoredRun:
     created: float
     path: Path
     plans: list = field(default_factory=list)  # adaptive "plan" rows, in order
+    format_version: int = JOURNAL_FORMAT_VERSION  # encoding of ``rows``
 
     @property
     def adaptive(self) -> bool:
@@ -108,7 +109,10 @@ class StoredRun:
         """Durable records as :class:`ExecutionRecord`\\ s, sorted by index."""
         from repro.beam.logs import row_to_record
 
-        records = [row_to_record(row) for row in self.rows]
+        records = [
+            row_to_record(row, format_version=self.format_version)
+            for row in self.rows
+        ]
         records.sort(key=lambda record: record.index)
         return records
 
@@ -198,6 +202,7 @@ class CampaignStore:
             created=journal.header.get("created", 0.0),
             path=journal.path,
             plans=journal.records("plan"),
+            format_version=journal.header["journal_format_version"],
         )
 
     def load_spec(self, spec: CampaignSpec) -> "StoredRun | None":
@@ -207,27 +212,29 @@ class CampaignStore:
 
     # -- queries -----------------------------------------------------------------
 
+    def runs(self) -> list:
+        """Every stored run, loaded once, sorted by creation time."""
+        out = [self.load(run_id) for run_id in self.run_ids()]
+        out.sort(key=lambda run: (run.created, run.run_id))
+        return out
+
     def summaries(self) -> list:
         """One :class:`RunSummary` per stored run, sorted by creation time."""
-        out = []
-        for run_id in self.run_ids():
-            run = self.load(run_id)
-            out.append(
-                RunSummary(
-                    run_id=run.run_id,
-                    kernel=run.spec.kernel,
-                    device=run.spec.device,
-                    label=run.spec.resolved_label(),
-                    seed=run.spec.seed,
-                    status=run.status,
-                    n_records=len(run.rows),
-                    n_expected=run.spec.n_faulty,
-                    created=run.created,
-                    path=run.path,
-                )
+        return [
+            RunSummary(
+                run_id=run.run_id,
+                kernel=run.spec.kernel,
+                device=run.spec.device,
+                label=run.spec.resolved_label(),
+                seed=run.spec.seed,
+                status=run.status,
+                n_records=len(run.rows),
+                n_expected=run.spec.n_faulty,
+                created=run.created,
+                path=run.path,
             )
-        out.sort(key=lambda summary: (summary.created, summary.run_id))
-        return out
+            for run in self.runs()
+        ]
 
     def find(
         self,

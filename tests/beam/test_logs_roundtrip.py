@@ -1,4 +1,4 @@
-"""Bit-exact log round-trips: truncation flags, inf/nan hex floats, refilters.
+"""Bit-exact log round-trips: truncation flags, non-finite floats, refilters.
 
 The paper publishes corrupted outputs "so to allow users to apply
 different filters"; that only works if the log is *exact*.  These tests
@@ -6,13 +6,15 @@ pin the three corners the basic suite (``test_logs.py``) does not:
 
 * the ``truncated`` flag survives a write→read→write cycle (a re-written
   log must not silently pretend its subsample is the full data);
-* ``float.hex`` storage keeps non-finite corruptions — ``inf``, ``-inf``,
-  ``nan`` read values and infinite relative errors — bit-exact;
+* raw-byte storage keeps non-finite corruptions — ``inf``, ``-inf``,
+  ``nan`` read values (payload and sign included), ``-0.0`` and infinite
+  relative errors — bit-exact;
 * re-filtering an *untruncated* logged record at a new threshold is
   byte-identical to evaluating the original observation directly at that
   threshold.
 """
 
+import base64
 import json
 import math
 
@@ -94,12 +96,46 @@ class TestNonFiniteExactness:
         assert reloaded.n_incorrect == original.n_incorrect
         assert reloaded.locality == original.locality
 
-    def test_json_payload_uses_hex_floats(self, tmp_path):
-        result = result_with([observation([3.5], [1.0])])
+    def test_json_payload_stores_raw_float_bits(self, tmp_path):
+        """Format 2 stores the raw little-endian bytes, so every bit
+        survives — including NaN payloads and signs, which ``float.hex``
+        (format 1) collapsed to the canonical NaN, and ``-0.0``."""
+        bits = np.array(
+            [0x7FF8000000000001, 0xFFF4000000000abc, 0x8000000000000000,
+             np.float64(3.5).view(np.uint64)],
+            dtype=np.uint64,
+        )
+        read = bits.view(np.float64)
+        expected = np.array([1.0, 2.0, 0.0, 1.0])
+        obs = ErrorObservation(
+            shape=(8, 8),
+            indices=np.array([[i, i] for i in range(4)], dtype=np.intp),
+            read=read,
+            expected=expected,
+        )
+        result = result_with([obs])
         path = write_log(result, tmp_path / "log.jsonl")
-        row = json.loads(path.read_text().splitlines()[1])
-        assert row["report"]["read"] == [float(3.5).hex()]
-        assert row["report"]["expected"] == [float(1.0).hex()]
+        header, line = path.read_text().splitlines()[:2]
+        assert json.loads(header)["format_version"] == 2
+        payload = json.loads(line)["report"]
+        loaded = read_log(path).records[0].report.observation
+        for key in ("read", "expected"):
+            want = getattr(obs, key).view(np.uint64).tolist()
+            stored = np.frombuffer(base64.b64decode(payload[key]), "<u8")
+            assert stored.tolist() == want
+            assert getattr(loaded, key).view(np.uint64).tolist() == want
+        assert loaded.indices.tolist() == obs.indices.tolist()
+
+    def test_locality_indices_round_trip(self, tmp_path):
+        base = observation([3.5, 4.5, 5.5], [1.0, 1.0, 1.0])
+        locality = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
+        obs = ErrorObservation(
+            base.shape, base.indices, base.read, base.expected, locality
+        )
+        loaded = read_log(write_log(result_with([obs]), tmp_path / "l.jsonl"))
+        back = loaded.records[0].report.observation.locality_indices
+        assert back.shape == (3, 3)
+        assert back.tolist() == locality.tolist()
 
 
 class TestTruncationFlag:
@@ -116,7 +152,12 @@ class TestTruncationFlag:
         capped_row = json.loads(capped.read_text().splitlines()[1])
         assert full_row["report"]["truncated"] is False
         assert capped_row["report"]["truncated"] is True
-        assert len(capped_row["report"]["read"]) == 8
+        capped_report = capped_row["report"]
+        for key, width in (("indices", 2 * 8), ("read", 8), ("expected", 8)):
+            # 8 kept elements: 8 float64s, or 8 two-axis int64 coordinates
+            assert len(base64.b64decode(capped_report[key])) == 8 * width
+        full_read = base64.b64decode(full_row["report"]["read"])
+        assert len(full_read) == 50 * 8
         assert capped_row["report"]["n_incorrect"] == 50  # summary stays exact
 
     def test_flag_survives_rewrite_cycle(self, tmp_path):

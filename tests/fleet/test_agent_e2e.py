@@ -88,9 +88,15 @@ def metric_value(client, name):
 def test_two_agents_complete_campaign_byte_identical(make_fleet_service, tmp_path):
     _, _, url = make_fleet_service()
     client = ServiceClient(url)
-    submitted = client.submit(dict(TINY_SPEC))
     agents = [start_agent(url, f"agent-{i}", idle_exit=5.0) for i in range(2)]
     try:
+        # Both agents register before the work exists: otherwise one of
+        # them can finish all three chunks before the other's first poll.
+        wait_for(
+            lambda: len(client.workers()["workers"]) == 2,
+            what="both agents to register",
+        )
+        submitted = client.submit(dict(TINY_SPEC))
         final = client.wait(submitted["run_id"], timeout=120.0)
         assert final["status"] == "complete"
         assert client.result_text(submitted["run_id"]) == reference_text(

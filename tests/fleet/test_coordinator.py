@@ -14,8 +14,10 @@ The invariants pinned here are the fleet's whole value proposition:
   active.
 """
 
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from repro.beam.executor import _run_chunk
@@ -284,6 +286,42 @@ def test_push_without_records_rejected(tmp_path):
     lease = coordinator.request_lease("w1")
     with pytest.raises(PushError, match="records"):
         coordinator.push_results(lease["lease_id"], {"token": 1}, worker="w1")
+
+
+def _as_format_1(row):
+    """The row an older agent (log format 1) pushes for the same record."""
+    report = dict(row["report"])
+    for key in ("read", "expected"):
+        values = np.frombuffer(base64.b64decode(report[key]), "<f8")
+        report[key] = [float(v).hex() for v in values]
+    indices = np.frombuffer(base64.b64decode(report["indices"]), "<i8")
+    report["indices"] = indices.reshape(-1, len(report["shape"])).tolist()
+    return dict(row, report=report)
+
+
+def test_push_with_format_1_row_rejected_never_committed(tmp_path):
+    clock = Clock()
+    coordinator = make_coordinator(tmp_path, clock)
+    admission = coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
+    while True:
+        lease = coordinator.request_lease("w1")
+        assert lease is not None, "no lease carried an SDC row"
+        batch = execute_lease(lease)
+        if any("report" in row for row in batch["records"]):
+            break
+        coordinator.push_results(lease["lease_id"], batch, worker="w1")
+    old = dict(batch, records=[
+        _as_format_1(row) if "report" in row else row
+        for row in batch["records"]
+    ])
+    with pytest.raises(PushError, match=lease["lease_id"]):
+        coordinator.push_results(lease["lease_id"], old, worker="w1")
+    store = CampaignStore(tmp_path / "fleet-store")
+    durable = store.load(admission.run_id).done_indices()
+    assert not durable & set(lease["indices"])
+    # The lease survives: the same chunk in the current format lands.
+    answer = coordinator.push_results(lease["lease_id"], batch, worker="w1")
+    assert answer["committed"] == len(lease["indices"])
 
 
 # -- drain / close ------------------------------------------------------------------

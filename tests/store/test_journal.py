@@ -1,16 +1,23 @@
 """Journal durability: CRC validation, commit batching, torn-tail repair."""
 
 import json
+import zlib
 
+import numpy as np
 import pytest
 
+from repro.arch.resources import ResourceKind
+from repro.beam.logs import record_to_row
+from repro.core.criticality import evaluate_execution
+from repro.core.metrics import ErrorObservation
+from repro.faults.outcomes import ExecutionRecord, OutcomeKind
 from repro.store import (
     Journal,
     JournalCorruptError,
     JournalError,
     scan_journal,
 )
-from repro.store.journal import _crc_of, _seal
+from repro.store.journal import _seal
 
 
 class TestCreate:
@@ -23,7 +30,7 @@ class TestCreate:
         head = scan.records[0]
         assert head["kind"] == "open"
         assert head["run_id"] == "abc"
-        assert head["journal_format_version"] == 1
+        assert head["journal_format_version"] == 2
         assert scan.torn_bytes == 0
 
     def test_create_refuses_existing_file(self, tmp_path):
@@ -38,9 +45,16 @@ class TestCreate:
             journal.append("record", index=0, row={"x": 1})
             journal.append("record", index=1, row={"x": 2})
             journal.commit()
-        for line in path.read_text().splitlines():
+        for line in path.read_bytes().splitlines():
             payload = json.loads(line)
-            assert payload["crc"] == _crc_of(payload)
+            crc = payload.pop("crc")
+            # The crc is the last key; the checked bytes are the line as
+            # written without it — one json.dumps of the payload.
+            tail = f', "crc": "{crc}"}}'.encode()
+            assert line.endswith(tail)
+            body = line[: -len(tail)] + b"}"
+            assert body == json.dumps(payload).encode()
+            assert f"{zlib.crc32(body):08x}" == crc
 
 
 class TestCommitBatching:
@@ -208,3 +222,68 @@ class TestNonFinitePayloads:
         reopened = Journal.open(path, read_only=True)
         row = reopened.records("record")[0]["row"]
         assert row["max_relative_pct"] == float("inf")
+
+
+def sdc_row(index: int) -> dict:
+    """A format-2 row holding base64 element arrays."""
+    obs = ErrorObservation(
+        shape=(4, 4),
+        indices=np.array([[0, 1], [2, 3], [3, 3]], dtype=np.intp),
+        read=np.array([1.5, -2.25, float("nan")]),
+        expected=np.array([1.0, -2.0, 3.0]),
+    )
+    record = ExecutionRecord(
+        index=index,
+        outcome=OutcomeKind.SDC,
+        resource=ResourceKind.REGISTER_FILE,
+        site="a",
+        report=evaluate_execution(obs, threshold_pct=2.0),
+    )
+    return record_to_row(record)
+
+
+class TestRowPayloadCorruption:
+    def test_flipped_base64_byte_before_tail_raises(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with Journal.create(path) as journal:
+            for index in range(3):
+                journal.append("record", index=index, row=sdc_row(index))
+        lines = path.read_bytes().splitlines(keepends=True)
+        target = bytearray(lines[2])  # a record row, not the tail
+        at = target.index(b'"read": "') + len(b'"read": "') + 3
+        # swap one base64 digit for another
+        target[at] = ord("B") if target[at] != ord("B") else ord("C")
+        lines[2] = bytes(target)
+        path.write_bytes(b"".join(lines))
+        assert json.loads(lines[2])["kind"] == "record"  # still parses
+        with pytest.raises(JournalCorruptError, match="crc mismatch"):
+            scan_journal(path)
+        with pytest.raises(JournalCorruptError):
+            Journal.open(path, read_only=True)
+
+
+class TestWriterMemory:
+    def test_commit_keeps_indices_not_rows(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with Journal.create(path, {"run_id": "abc"}) as journal:
+            for index in range(3):
+                journal.append("record", index=index, row=sdc_row(index))
+            journal.append("plan", round=0)
+            journal.commit()
+            assert journal.done_indices() == {0, 1, 2}
+            kept = [record["kind"] for record in journal._records]
+            assert kept == ["open", "plan"]
+            # the rows are still one query away, read from the file
+            rows = [record["row"] for record in journal.records("record")]
+            assert rows == [sdc_row(index) for index in range(3)]
+
+    def test_reopen_for_append_keeps_indices_not_rows(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with Journal.create(path) as journal:
+            journal.append("record", index=4, row=sdc_row(4))
+        reopened = Journal.open(path)
+        assert reopened.done_indices() == {4}
+        assert [r["kind"] for r in reopened._records] == ["open"]
+        reopened.close()
+        read_only = Journal.open(path, read_only=True)
+        assert [r["kind"] for r in read_only._records] == ["open", "record"]

@@ -4,7 +4,7 @@ The store's headline guarantee (ISSUE 3): a campaign killed mid-journal
 restarts from its last durable record and produces a final log
 *byte-for-byte identical* to an uninterrupted run — across the serial,
 thread and process executor backends.  Three facts carry the proof (see
-:mod:`repro.store.runner`): per-execution RNG derivation, hex-exact row
+:mod:`repro.store.runner`): per-execution RNG derivation, bit-exact row
 serialisation, and shared fluence arithmetic.
 
 ISSUE 7 extends the guarantee to adaptive campaigns: a SIGKILL'd
