@@ -6,22 +6,18 @@ campaign, and verifies the two paths produce identical outcome statistics
 while doing so.  Output lands in ``benchmarks/results/bench_parallel.txt``
 so the perf trajectory across PRs is greppable.
 
-The benchmark also times the delta-replay fast path
-(``fast_path=True``, docs/performance.md) against full re-execution —
+The "production vs reference" section times the one production path
+(batched delta replay with per-fault dense fallback, docs/performance.md)
+against the full re-execution reference (``Injector.inject_reference``),
 one row set per kernel (DGEMM's closed-form delta, CLAMR's dt-invariant
 window replay, HotSpot's residual-capped cone; ``--fastpath-kernels``
-selects a subset) — and records a machine-readable baseline in
-``BENCH_fastpath.json`` (``benchmarks/results/BENCH_fastpath_quick.json``
-for ``--quick`` runs): serial/pool/fast-path timings, the speedups
-between them, and the per-kernel hit/fallback counters.  Every kernel's
-fast-path rows are checked bit-identical to its reference before
-anything is written; ``--expect-fastpath-speedup`` and
-``--expect-fastpath-hits`` gate each kernel row for CI.
-
-A third section times batched delta execution (``batch=True``,
-``inject_batch``) against one-at-a-time scalar replay and records
-``BENCH_batch.json`` (``benchmarks/results/BENCH_batch_quick.json`` for
-``--quick``) the same way.
+selects a subset), and records a machine-readable baseline in
+``BENCH_production.json``
+(``benchmarks/results/BENCH_production_quick.json`` for ``--quick``
+runs): reference/serial/pooled timings, the speedups between them, and
+the per-kernel hit/fallback counters.  Every kernel's production records
+are checked identical to its reference before anything is written;
+``--expect-fastpath-hits`` gates each kernel row for CI.
 
 A fleet section (``--skip-fleet`` to skip) boots a real coordinator and
 two :class:`~repro.fleet.FleetAgent` threads pulling chunk leases over
@@ -44,15 +40,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_parallel.py \
         --quick --observability --max-overhead-pct 10
     PYTHONPATH=src python benchmarks/bench_parallel.py \
-        --expect-fastpath-speedup 3.0
-    PYTHONPATH=src python benchmarks/bench_parallel.py \
-        --quick --expect-batch-speedup 2.0
+        --quick --fastpath-kernels clamr --expect-fastpath-hits 1
 
 ``--workers 0`` (the default) sizes the pool to the CPU count.  On a
 multi-core runner a 200-strike DGEMM campaign should clear 2x serial
-throughput comfortably (per-strike work is a full kernel re-execution, so
-the fan-out is nearly embarrassing); ``--expect-speedup`` turns that into
-an exit code for CI.  On a single-core machine the script still records
+throughput (strikes are independent, so the fan-out is nearly
+embarrassing once per-strike work outweighs the pool's fixed cost);
+``--expect-speedup`` turns that into an exit code for CI.  On a single-core machine the script still records
 both numbers — the interesting quantity there is the pool overhead.
 
 ``--observability`` adds a second section measuring the cost of running
@@ -74,13 +68,9 @@ from repro.beam.campaign import Campaign
 from repro.kernels.registry import make_kernel
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_parallel.txt"
-FASTPATH_JSON_PATH = Path(__file__).parent.parent / "BENCH_fastpath.json"
-FASTPATH_JSON_QUICK_PATH = (
-    Path(__file__).parent / "results" / "BENCH_fastpath_quick.json"
-)
-BATCH_JSON_PATH = Path(__file__).parent.parent / "BENCH_batch.json"
-BATCH_JSON_QUICK_PATH = (
-    Path(__file__).parent / "results" / "BENCH_batch_quick.json"
+PRODUCTION_JSON_PATH = Path(__file__).parent.parent / "BENCH_production.json"
+PRODUCTION_JSON_QUICK_PATH = (
+    Path(__file__).parent / "results" / "BENCH_production_quick.json"
 )
 SAMPLING_JSON_PATH = Path(__file__).parent.parent / "BENCH_sampling.json"
 SAMPLING_JSON_QUICK_PATH = (
@@ -94,8 +84,7 @@ FLEET_JSON_QUICK_PATH = (
 
 def run_campaign(kernel_name: str, device_name: str, config: dict,
                  faulty: int, seed: int, workers: int,
-                 chunk_size: "int | None",
-                 fast_path: bool = False, batch: bool = False):
+                 chunk_size: "int | None"):
     """One timed campaign run; returns (seconds, result)."""
     campaign = Campaign(
         kernel=make_kernel(kernel_name, **config),
@@ -105,8 +94,6 @@ def run_campaign(kernel_name: str, device_name: str, config: dict,
         workers=workers,
         chunk_size=chunk_size,
         timeout=1800.0,
-        fast_path=fast_path,
-        batch=batch,
     )
     start = time.perf_counter()
     result = campaign.run()
@@ -188,7 +175,7 @@ def bench(args) -> "tuple[str, float | None]":
 
 
 def fastpath_rows(args) -> dict:
-    """Kernel rows for the fast-path section, keyed by kernel name.
+    """Kernel rows for the production-vs-reference section, by kernel name.
 
     DGEMM rides the benchmark's main ``--kernel/--n/--faulty`` knobs;
     CLAMR and HotSpot run their paper configurations (CLAMR on the Xeon
@@ -228,92 +215,97 @@ def fastpath_rows(args) -> dict:
     return {name: rows[name] for name in selected}
 
 
-def bench_fastpath(args) -> "tuple[str, dict, dict]":
-    """Delta replay vs full re-execution, one row set per kernel.
+def bench_production(args) -> "tuple[str, dict]":
+    """The production path vs the full re-execution reference, per kernel.
 
-    For each kernel of :func:`fastpath_rows` (DGEMM's closed-form delta,
-    CLAMR's dt-invariant window replay, HotSpot's residual-capped cone)
-    times four configurations — {serial, pooled} × {full, fast path} —
-    verifies the fast-path record stream is bit-identical to that
-    kernel's serial reference (hex-float rows, the journal
-    serialisation), and returns the human-readable section, the
-    per-kernel pooled speedups, and the machine-readable payload for
-    ``BENCH_fastpath.json``.  The headline number per kernel is the
-    pooled fast-path throughput over pooled full re-execution: same
-    pool, same chunks, only the per-strike arithmetic differs.
+    For each kernel of :func:`fastpath_rows` times three configurations
+    of the same campaign — ``reference`` (full re-execution of every
+    strike, :meth:`~repro.faults.injector.Injector.inject_reference`, in
+    process), and the production path serial and pooled — verifies both
+    production record streams identical to the reference (journal rows),
+    and returns the human-readable section and the machine-readable
+    payload for ``BENCH_production.json``.  The golden output is built
+    before the clocks start; the production rows still pay each kernel's
+    one-off replay setup (the HotSpot and CLAMR golden chains).
     """
     from repro import observability as obs
     from repro.beam.logs import record_to_row
 
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
 
-    def timed(spec: dict, w: int, fast_path: bool):
-        registry = obs.MetricsRegistry() if fast_path else None
-        if registry is not None:
-            with obs.observe(metrics=registry):
-                seconds, result = run_campaign(
-                    kernel_name, spec["device"], spec["config"],
-                    spec["faulty"], args.seed, w, args.chunk_size,
-                    fast_path=True,
-                )
-        else:
+    def timed_reference(kernel_name: str, spec: dict):
+        campaign = Campaign(
+            kernel=make_kernel(kernel_name, **spec["config"]),
+            device=make_device(spec["device"]),
+            n_faulty=spec["faulty"],
+            seed=args.seed,
+        )
+        start = time.perf_counter()
+        records = campaign.injector.inject_reference(range(spec["faulty"]))
+        return time.perf_counter() - start, records
+
+    def timed_production(kernel_name: str, spec: dict, w: int):
+        registry = obs.MetricsRegistry()
+        with obs.observe(metrics=registry):
             seconds, result = run_campaign(
                 kernel_name, spec["device"], spec["config"], spec["faulty"],
                 args.seed, w, args.chunk_size,
             )
-        hits = fallbacks = 0
-        if registry is not None:
-            metric = registry.get("repro_fastpath_hits_total")
-            hits = int(metric.total()) if metric is not None else 0
-            metric = registry.get("repro_fastpath_fallbacks_total")
-            fallbacks = int(metric.total()) if metric is not None else 0
-        return seconds, result, hits, fallbacks
+        counts = []
+        for name in ("repro_fastpath_hits_total",
+                     "repro_fastpath_fallbacks_total"):
+            metric = registry.get(name)
+            counts.append(int(metric.total()) if metric is not None else 0)
+        return seconds, result.records, *counts
 
-    configs = {
-        "serial_full": (1, False),
-        "parallel_full": (workers, False),
-        "serial_fast": (1, True),
-        "parallel_fast": (workers, True),
-    }
     kernels_payload: dict = {}
-    speedups: dict = {}
-    lines = ["delta-replay fast path vs full re-execution:"]
+    lines = ["production path vs full re-execution reference:"]
     for kernel_name, spec in fastpath_rows(args).items():
+        make_kernel(kernel_name, **spec["config"]).golden()  # warm cache
         timings: dict = {}
         rows: dict = {}
+        configs = {
+            "reference": (1, None),
+            "production_serial": (1, "production"),
+            "production_pooled": (workers, "production"),
+        }
         hits = fallbacks = 0
-        for name, (w, fast) in configs.items():
+        for name, (w, path) in configs.items():
             backend, pool = resolved_execution(args, w, spec["faulty"])
-            seconds, result, h, f = timed(spec, w, fast)
+            if path is None:
+                seconds, records = timed_reference(kernel_name, spec)
+            else:
+                seconds, records, h, f = timed_production(
+                    kernel_name, spec, w
+                )
+                if name == "production_serial":
+                    hits, fallbacks = h, f
             timings[name] = {
                 "seconds": seconds,
                 "exec_per_s": spec["faulty"] / seconds,
                 "workers": w,
                 "pool": pool,
                 "backend": backend,
-                "fast_path": fast,
             }
-            rows[name] = [record_to_row(r) for r in result.records]
-            if name == "parallel_fast":
-                hits, fallbacks = h, f
+            rows[name] = [record_to_row(r) for r in records]
 
-        identical = all(rows[name] == rows["serial_full"] for name in configs)
+        identical = all(rows[name] == rows["reference"] for name in configs)
         thr = {name: slot["exec_per_s"] for name, slot in timings.items()}
-        par_pool = timings["parallel_full"]["pool"]
-        if par_pool <= 1:
+        pooled = timings["production_pooled"]["pool"]
+        if pooled <= 1:
             print(
-                "WARNING: 'parallel' configurations resolved to a 1-worker "
-                f"pool (backend={timings['parallel_full']['backend']}); "
-                f"{kernel_name} parallel_over_serial recorded as null."
+                "WARNING: the pooled configuration resolved to a 1-worker "
+                f"pool (backend={timings['production_pooled']['backend']}); "
+                f"{kernel_name} pooled_over_serial recorded as null."
             )
         speedup = {
-            "parallel_over_serial": (
-                thr["parallel_full"] / thr["serial_full"] if par_pool > 1
-                else None
+            "production_over_reference": (
+                thr["production_serial"] / thr["reference"]
             ),
-            "fastpath_serial": thr["serial_fast"] / thr["serial_full"],
-            "fastpath_parallel": thr["parallel_fast"] / thr["parallel_full"],
-            "combined": thr["parallel_fast"] / thr["serial_full"],
+            "pooled_over_serial": (
+                thr["production_pooled"] / thr["production_serial"]
+                if pooled > 1 else None
+            ),
         }
         attempts = hits + fallbacks
         kernels_payload[kernel_name] = {
@@ -329,35 +321,30 @@ def bench_fastpath(args) -> "tuple[str, dict, dict]":
             },
             "records_identical": identical,
         }
-        speedups[kernel_name] = speedup["fastpath_parallel"]
         lines += [
             f"  {kernel_name} "
             f"({spec['device']}, {spec['config'] or 'default config'}, "
             f"{spec['faulty']} strikes):",
             *(
-                f"    {name:<14}: {slot['seconds']:8.2f} s  "
+                f"    {name:<18}: {slot['seconds']:8.3f} s  "
                 f"{slot['exec_per_s']:8.1f} exec/s"
                 f"  [{slot['backend']}/{slot['pool']}]"
                 for name, slot in timings.items()
             ),
-            f"    fast-path speedup (pooled) : "
-            f"{speedup['fastpath_parallel']:8.2f}x",
-            f"    fast-path speedup (serial) : "
-            f"{speedup['fastpath_serial']:8.2f}x",
-            f"    combined speedup vs serial : {speedup['combined']:8.2f}x",
-            f"    hits/fallbacks             : {hits}/{fallbacks}",
-            f"    records identical to serial full re-execution: "
-            f"{identical}",
+            f"    production speedup vs reference: "
+            f"{speedup['production_over_reference']:8.2f}x",
+            f"    hits/fallbacks                 : {hits}/{fallbacks}",
+            f"    records identical to full re-execution: {identical}",
         ]
         if not identical:
             raise SystemExit(
                 "\n".join(lines)
-                + f"\nFATAL: {kernel_name} fast-path records differ from "
+                + f"\nFATAL: {kernel_name} production records differ from "
                 "full re-execution"
             )
 
     payload = {
-        "bench": "fastpath",
+        "bench": "production",
         "seed": args.seed,
         "workers": workers,
         "cores": os.cpu_count(),
@@ -367,145 +354,7 @@ def bench_fastpath(args) -> "tuple[str, dict, dict]":
             slot["records_identical"] for slot in kernels_payload.values()
         ),
     }
-    return "\n".join(lines), speedups, payload
-
-
-def bench_batch(args) -> "tuple[str, float, dict]":
-    """Batched delta execution vs one-at-a-time scalar replay.
-
-    Times {full re-execution, scalar fast path, batched fast path} on the
-    same campaign, plus a pooled batched run, verifies every record
-    stream bit-identical to the serial full re-execution reference
-    (hex-float journal rows), and returns the section text, the
-    batch-over-scalar speedup, and the machine-readable payload for
-    ``BENCH_batch.json``.
-
-    All rows are warm-cache timings (best of ``--repeats``): the first
-    reference repeat warms the process-global golden cache, so the rows
-    measure the steady-state per-strike cost — the quantity delta replay
-    and batching actually change — not input generation.  The headline
-    number is ``batch_serial``'s absolute exec/s and its ratio over
-    ``scalar_fast``: same campaign, same fault set, only chunk-at-a-time
-    array evaluation versus a per-fault Python loop differs.
-    """
-    from repro import observability as obs
-    from repro.beam.logs import record_to_row
-
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    repeats = max(1, args.repeats)
-
-    def timed(w: int, fast_path: bool, batch: bool):
-        best = float("inf")
-        result = None
-        hits = fallbacks = 0
-        for _ in range(repeats):
-            if fast_path:
-                registry = obs.MetricsRegistry()
-                with obs.observe(metrics=registry):
-                    seconds, res = run_campaign(
-                        args.kernel, args.device, {"n": args.n},
-                        args.faulty, args.seed, w, args.chunk_size,
-                        fast_path=True, batch=batch,
-                    )
-                metric = registry.get("repro_fastpath_hits_total")
-                hits = int(metric.total()) if metric is not None else 0
-                metric = registry.get("repro_fastpath_fallbacks_total")
-                fallbacks = int(metric.total()) if metric is not None else 0
-            else:
-                seconds, res = run_campaign(
-                    args.kernel, args.device, {"n": args.n}, args.faulty,
-                    args.seed, w, args.chunk_size, batch=batch,
-                )
-            if seconds < best:
-                best, result = seconds, res
-        return best, result, hits, fallbacks
-
-    configs = {
-        "serial_full": (1, False, False),
-        "scalar_fast": (1, True, False),
-        "batch_serial": (1, True, True),
-        "batch_pooled": (workers, True, True),
-    }
-    timings: dict = {}
-    rows: dict = {}
-    hits = fallbacks = 0
-    for name, (w, fast, batch) in configs.items():
-        backend, pool = resolved_execution(args, w)
-        seconds, result, h, f = timed(w, fast, batch)
-        timings[name] = {
-            "seconds": seconds,
-            "exec_per_s": args.faulty / seconds,
-            "workers": w,
-            "pool": pool,
-            "backend": backend,
-            "fast_path": fast,
-            "batch": batch,
-        }
-        rows[name] = [record_to_row(r) for r in result.records]
-        if name == "batch_serial":
-            hits, fallbacks = h, f
-
-    identical = all(rows[name] == rows["serial_full"] for name in configs)
-    thr = {name: slot["exec_per_s"] for name, slot in timings.items()}
-    pooled_pool = timings["batch_pooled"]["pool"]
-    if pooled_pool <= 1:
-        print(
-            "WARNING: pooled batch configuration resolved to a 1-worker "
-            f"pool (backend={timings['batch_pooled']['backend']}); "
-            "parallel_over_serial recorded as null."
-        )
-    speedup = {
-        "batch_over_scalar": thr["batch_serial"] / thr["scalar_fast"],
-        "batch_over_full": thr["batch_serial"] / thr["serial_full"],
-        "batch_pooled_over_scalar": thr["batch_pooled"] / thr["scalar_fast"],
-        "parallel_over_serial": (
-            thr["batch_pooled"] / thr["batch_serial"] if pooled_pool > 1
-            else None
-        ),
-    }
-    attempts = hits + fallbacks
-    payload = {
-        "bench": "batch",
-        "kernel": args.kernel,
-        "device": args.device,
-        "n": args.n,
-        "faulty": args.faulty,
-        "seed": args.seed,
-        "workers": workers,
-        "cores": os.cpu_count(),
-        "quick": bool(args.quick),
-        "repeats": repeats,
-        "warm": True,
-        "timings": timings,
-        "speedup": speedup,
-        "fastpath": {
-            "hits": hits,
-            "fallbacks": fallbacks,
-            "hit_rate": (hits / attempts) if attempts else 0.0,
-        },
-        "records_identical": identical,
-    }
-    lines = [
-        "batched delta execution vs scalar replay:",
-        *(
-            f"  {name:<14}: {slot['seconds']:8.4f} s  "
-            f"{slot['exec_per_s']:8.1f} exec/s"
-            f"  [{slot['backend']}/{slot['pool']}]"
-            for name, slot in timings.items()
-        ),
-        f"  batch speedup vs scalar fast path : "
-        f"{speedup['batch_over_scalar']:8.2f}x",
-        f"  batch speedup vs full re-execution: "
-        f"{speedup['batch_over_full']:8.2f}x",
-        f"  hits/fallbacks             : {hits}/{fallbacks}",
-        f"  records identical to serial full re-execution: {identical}",
-    ]
-    text = "\n".join(lines)
-    if not identical:
-        raise SystemExit(
-            text + "\nFATAL: batched records differ from full re-execution"
-        )
-    return text, speedup["batch_over_scalar"], payload
+    return "\n".join(lines), payload
 
 
 def bench_sampling(args) -> "tuple[str, float, dict]":
@@ -678,8 +527,7 @@ def bench_fleet(args) -> "tuple[str, float, dict]":
             CampaignStore(Path(tmp) / "pool-store"),
             CampaignSpec.from_dict(dict(spec_dict)),
             workers=n_agents, chunk_size=args.chunk_size, timeout=1800.0,
-            backend="thread", fast_path=None, batch=None,
-            sampling=None, reuse=True,
+            backend="thread", sampling=None, reuse=True,
         )
         t_pool = time.perf_counter() - start
         pool_text = "\n".join(log_lines(pool_outcome.result)) + "\n"
@@ -861,24 +709,16 @@ def main(argv=None) -> int:
     parser.add_argument("--chunk-size", type=int, default=None)
     parser.add_argument("--expect-speedup", type=float, default=None,
                         help="exit 1 unless parallel/serial >= this factor")
-    parser.add_argument("--expect-fastpath-speedup", type=float, default=None,
-                        help="exit 1 unless every fast-path kernel's pooled "
-                             "fast-path/pooled full >= this factor")
     parser.add_argument("--expect-fastpath-hits", type=int, default=None,
-                        help="exit 1 unless every fast-path kernel records "
-                             "at least this many delta-replay hits")
+                        help="exit 1 unless every production-vs-reference "
+                             "kernel row records at least this many "
+                             "delta-replay hits")
     parser.add_argument("--fastpath-kernels", default="dgemm,clamr,hotspot",
-                        help="comma-separated kernel rows for the fast-path "
-                             "section")
-    parser.add_argument("--expect-batch-speedup", type=float, default=None,
-                        help="exit 1 unless batched/scalar fast path "
-                             ">= this factor")
-    parser.add_argument("--skip-fastpath", action="store_true",
-                        help="skip the delta-replay section (and do not "
-                             "touch BENCH_fastpath.json)")
-    parser.add_argument("--skip-batch", action="store_true",
-                        help="skip the batched-execution section (and do "
-                             "not touch BENCH_batch.json)")
+                        help="comma-separated kernel rows for the "
+                             "production-vs-reference section")
+    parser.add_argument("--skip-production", action="store_true",
+                        help="skip the production-vs-reference section (and "
+                             "do not touch BENCH_production.json)")
     parser.add_argument("--skip-sampling", action="store_true",
                         help="skip the adaptive-sampling section (and do "
                              "not touch BENCH_sampling.json)")
@@ -903,35 +743,20 @@ def main(argv=None) -> int:
         args.n, args.faulty = quick_caps(args.n, args.faulty)
 
     text, speedup = bench(args)
-    fastpath_speedups: dict = {}
-    fastpath_payload: dict = {}
-    if not args.skip_fastpath:
+    production_payload: dict = {}
+    if not args.skip_production:
         import json
 
-        fp_text, fastpath_speedups, fastpath_payload = bench_fastpath(args)
-        text = text + "\n" + fp_text
+        production_text, production_payload = bench_production(args)
+        text = text + "\n" + production_text
         json_path = (
-            FASTPATH_JSON_QUICK_PATH if args.quick else FASTPATH_JSON_PATH
+            PRODUCTION_JSON_QUICK_PATH if args.quick else PRODUCTION_JSON_PATH
         )
         json_path.parent.mkdir(exist_ok=True)
         json_path.write_text(
-            json.dumps(fastpath_payload, indent=2, sort_keys=True) + "\n"
+            json.dumps(production_payload, indent=2, sort_keys=True) + "\n"
         )
         text += f"\n  baseline recorded to {json_path}"
-    batch_speedup = None
-    if not args.skip_batch:
-        import json
-
-        batch_text, batch_speedup, batch_payload = bench_batch(args)
-        text = text + "\n" + batch_text
-        batch_json_path = (
-            BATCH_JSON_QUICK_PATH if args.quick else BATCH_JSON_PATH
-        )
-        batch_json_path.parent.mkdir(exist_ok=True)
-        batch_json_path.write_text(
-            json.dumps(batch_payload, indent=2, sort_keys=True) + "\n"
-        )
-        text += f"\n  baseline recorded to {batch_json_path}"
     sampling_savings = None
     if not args.skip_sampling:
         import json
@@ -988,17 +813,8 @@ def main(argv=None) -> int:
                 f"{args.expect_speedup:.2f}x"
             )
             return 1
-    if args.expect_fastpath_speedup is not None:
-        for kernel_name, fastpath_speedup in fastpath_speedups.items():
-            if fastpath_speedup < args.expect_fastpath_speedup:
-                print(
-                    f"FAIL: {kernel_name} fast-path speedup "
-                    f"{fastpath_speedup:.2f}x below required "
-                    f"{args.expect_fastpath_speedup:.2f}x"
-                )
-                return 1
     if args.expect_fastpath_hits is not None:
-        for kernel_name, slot in fastpath_payload.get("kernels", {}).items():
+        for kernel_name, slot in production_payload.get("kernels", {}).items():
             if slot["fastpath"]["hits"] < args.expect_fastpath_hits:
                 print(
                     f"FAIL: {kernel_name} recorded "
@@ -1006,16 +822,6 @@ def main(argv=None) -> int:
                     f"required {args.expect_fastpath_hits}"
                 )
                 return 1
-    if (
-        args.expect_batch_speedup is not None
-        and batch_speedup is not None
-        and batch_speedup < args.expect_batch_speedup
-    ):
-        print(
-            f"FAIL: batch speedup {batch_speedup:.2f}x below "
-            f"required {args.expect_batch_speedup:.2f}x"
-        )
-        return 1
     if (
         args.expect_sampling_savings is not None
         and sampling_savings is not None

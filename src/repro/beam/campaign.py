@@ -192,13 +192,6 @@ class Campaign:
             instead of hanging.
         backend: execution strategy (``"auto"``/``"process"``/``"thread"``/
             ``"serial"``) forwarded to the executor.
-        fast_path: attempt the delta-replay fast path per struck execution
-            (``None`` = the ``REPRO_FASTPATH`` environment default).  The
-            records are bit-identical with the switch on or off — see
-            docs/performance.md.
-        batch: evaluate whole worker chunks as one batched array program
-            (``None`` = the ``REPRO_BATCH`` environment default).  Records
-            stay bit-identical — see docs/performance.md.
     """
 
     kernel: Kernel
@@ -212,8 +205,6 @@ class Campaign:
     chunk_size: "int | None" = None
     timeout: "float | None" = None
     backend: str = "auto"
-    fast_path: "bool | None" = None
-    batch: "bool | None" = None
 
     def __post_init__(self):
         if self.n_faulty < 1:
@@ -244,8 +235,6 @@ class Campaign:
             chunk_size=self.chunk_size if chunk_size is None else chunk_size,
             backend=self.backend,
             timeout=self.timeout,
-            fast_path=self.fast_path,
-            batch=self.batch,
         )
 
     def _campaign_span(self, mode: str, n_executions: int):

@@ -17,8 +17,10 @@ its :class:`~repro.faults.injector.Injector` once and replays its chunk,
 and the merged records (re-sorted by index) are exactly the serial
 sequence.
 
-**Cost model.**  One struck execution re-runs the whole kernel, so the work
-per index is large and the per-record payload is small — the regime where
+**Cost model.**  Each chunk is one batched delta replay
+(:meth:`~repro.faults.injector.Injector.inject_batch`); a strike the kernel
+cannot replay in closed form re-runs the whole kernel alone.  The work per
+chunk is large and the per-record payload is small — the regime where
 ``ProcessPoolExecutor`` wins.  Chunks amortise worker start-up and let the
 per-process golden-output cache (:mod:`repro.kernels.base`) compute the
 clean reference once per worker rather than once per chunk.  For small
@@ -69,16 +71,6 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: wait forever).  The test suite sets this so a deadlocked pool fails the
 #: run instead of hanging it.
 TIMEOUT_ENV_VAR = "REPRO_POOL_TIMEOUT"
-
-#: Environment override for the default delta-replay fast-path switch
-#: (1/true/yes/on enables).  Explicit ``fast_path=`` arguments win.
-FASTPATH_ENV_VAR = "REPRO_FASTPATH"
-
-#: Environment override for the default batched-execution switch
-#: (1/true/yes/on enables).  Explicit ``batch=`` arguments win.  Like
-#: ``fast_path``, this selects an execution *strategy*, not a campaign
-#: identity: records are bit-identical either way.
-BATCH_ENV_VAR = "REPRO_BATCH"
 
 
 class ExecutorTimeoutError(RuntimeError):
@@ -164,34 +156,6 @@ def default_timeout() -> "float | None":
     return value if value > 0 else None
 
 
-def default_fast_path() -> bool:
-    """Fast-path default used when none is requested: the env override."""
-    env = os.environ.get(FASTPATH_ENV_VAR, "").strip().lower()
-    if not env:
-        return False
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"{FASTPATH_ENV_VAR} must be a boolean (1/0/true/false), got {env!r}"
-    )
-
-
-def default_batch() -> bool:
-    """Batched-execution default used when none is requested: env override."""
-    env = os.environ.get(BATCH_ENV_VAR, "").strip().lower()
-    if not env:
-        return False
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"{BATCH_ENV_VAR} must be a boolean (1/0/true/false), got {env!r}"
-    )
-
-
 def _fork_available() -> bool:
     return hasattr(os, "fork")
 
@@ -200,7 +164,7 @@ def _fork_available() -> bool:
 class _ChunkResult:
     """What a chunk runner ships back to the parent.
 
-    Records plus — when instrumented — per-execution wall-clock timings and
+    Records plus — when instrumented — each record's fast-path mode and
     the worker's golden-cache delta, so the parent can re-emit span events
     and fold metrics without the worker ever touching a sink (one trace
     writer per campaign, regardless of backend).
@@ -210,13 +174,13 @@ class _ChunkResult:
     start: float = 0.0          # wall-clock chunk start (time.time())
     duration: float = 0.0       # chunk elapsed seconds
     worker: str = ""            # pid:<pid>/<thread> that ran the chunk
-    exec_starts: "list | None" = None     # per-execution wall starts
-    exec_durations: "list | None" = None  # per-execution elapsed seconds
     cache_hits: int = 0         # golden-cache hits during this chunk
     cache_misses: int = 0       # golden-cache misses during this chunk
     fastpath_hits: int = 0      # delta-replay hits during this chunk
     fastpath_fallbacks: int = 0  # delta-replay fallbacks during this chunk
-    exec_fastpath: "list | None" = None  # per-execution "hit"/"fallback"/None
+    #: Per-record "hit"/"fallback"/None; set by instrumented chunks only,
+    #: and what turns on per-execution spans and latency samples.
+    exec_fastpath: "list | None" = None
 
 
 def _run_chunk(
@@ -226,8 +190,6 @@ def _run_chunk(
     threshold_pct: float,
     indices: Sequence[int],
     instrument: bool = False,
-    fast_path: bool = False,
-    batch: bool = False,
 ) -> _ChunkResult:
     """Worker entry point: one Injector, one contiguous index chunk.
 
@@ -237,19 +199,14 @@ def _run_chunk(
     (process workers may adopt the parent's shared-memory export instead
     of executing it — see :mod:`repro.kernels.sharedmem`).
 
-    With ``instrument`` the runner also clocks each execution; without it,
-    the loop is the bare PR 1 hot path plus one try/except per execution
-    (the pool strips tracebacks and context, so failures are wrapped in
-    :class:`ChunkWorkerError` with the exact failing index either way).
-
-    With ``fast_path`` the injector attempts delta replay per execution
-    (records stay bit-identical); instrumented chunks also report which
-    executions hit the fast path and which fell back.
-
-    With ``batch`` the whole chunk is evaluated as one array program
-    (:meth:`Injector.inject_batch` — records still bit-identical).
-    Per-execution wall-clock timings do not exist under batching, so
-    instrumented chunks report chunk-level figures only.
+    The chunk is evaluated as one array program
+    (:meth:`Injector.inject_batch`: batched delta replay with per-fault
+    dense fallback).  With ``instrument`` the runner also reports which
+    records hit the fast path and which fell back.  The pool strips
+    tracebacks and context, so a failure is wrapped in
+    :class:`ChunkWorkerError` naming the execution it was raised for, or
+    the chunk's first index when a pass stacked over several faults
+    raised it.
 
     Metrics discipline: the runner never mirrors counters into the
     observability registry mid-chunk (``mirror_metrics=False`` plus a
@@ -261,65 +218,29 @@ def _run_chunk(
     """
     injector = Injector(
         kernel=kernel, device=device, seed=seed, threshold_pct=threshold_pct,
-        fast_path=fast_path, mirror_metrics=False,
+        mirror_metrics=False,
     )
     start_wall = time.time()
     t0 = time.perf_counter()
-    records = []
-    exec_starts = [] if (instrument and not batch) else None
-    exec_durations = [] if (instrument and not batch) else None
-    exec_fastpath = [] if (instrument and fast_path and not batch) else None
+    modes = [] if instrument else None
     with capture_cache_events() as cache_events:
-        if batch:
-            try:
-                records = injector.inject_batch(indices)
-            except ChunkWorkerError:
-                raise
-            except Exception as exc:
-                # Batched evaluation loses per-index attribution for
-                # errors raised inside a stacked pass; fall back to the
-                # index the failing phase reports, else the chunk start.
-                failing = int(getattr(exc, "index", indices[0]))
-                raise ChunkWorkerError(
-                    failing, f"{type(exc).__name__}: {exc}"
-                ) from exc
-        else:
-            for index in indices:
-                try:
-                    if instrument:
-                        hits_before = injector.fastpath_hits
-                        falls_before = injector.fastpath_fallbacks
-                        exec_wall = time.time()
-                        e0 = time.perf_counter()
-                        record = injector.inject_one(index)
-                        exec_durations.append(time.perf_counter() - e0)
-                        exec_starts.append(exec_wall)
-                        if exec_fastpath is not None:
-                            if injector.fastpath_hits > hits_before:
-                                exec_fastpath.append("hit")
-                            elif injector.fastpath_fallbacks > falls_before:
-                                exec_fastpath.append("fallback")
-                            else:
-                                exec_fastpath.append(None)
-                    else:
-                        record = injector.inject_one(index)
-                except Exception as exc:
-                    raise ChunkWorkerError(
-                        index, f"{type(exc).__name__}: {exc}"
-                    ) from exc
-                records.append(record)
+        try:
+            records = injector.inject_batch(indices, modes=modes)
+        except Exception as exc:
+            failing = int(getattr(exc, "strike_index", indices[0]))
+            raise ChunkWorkerError(
+                failing, f"{type(exc).__name__}: {exc}"
+            ) from exc
     return _ChunkResult(
         records=records,
         start=start_wall,
         duration=time.perf_counter() - t0,
         worker=worker_id(),
-        exec_starts=exec_starts,
-        exec_durations=exec_durations,
         cache_hits=cache_events.hits,
         cache_misses=cache_events.misses,
         fastpath_hits=injector.fastpath_hits,
         fastpath_fallbacks=injector.fastpath_fallbacks,
-        exec_fastpath=exec_fastpath,
+        exec_fastpath=modes,
     )
 
 
@@ -329,14 +250,9 @@ def _inject_chunk(
     seed: int,
     threshold_pct: float,
     indices: Sequence[int],
-    fast_path: bool = False,
-    batch: bool = False,
 ) -> list[ExecutionRecord]:
-    """Back-compat chunk runner: records only (see :func:`_run_chunk`)."""
-    return _run_chunk(
-        kernel, device, seed, threshold_pct, indices, fast_path=fast_path,
-        batch=batch,
-    ).records
+    """Records-only chunk runner (see :func:`_run_chunk`)."""
+    return _run_chunk(kernel, device, seed, threshold_pct, indices).records
 
 
 @dataclass
@@ -354,22 +270,12 @@ class CampaignExecutor:
         timeout: wall-clock seconds to wait for the pool to drain; ``None``
             waits forever.  A deadlocked pool raises
             :class:`ExecutorTimeoutError` instead of hanging.
-        fast_path: attempt delta replay per struck execution (bit-identical
-            records, sparse diffing).  ``None`` means "auto" (the
-            ``REPRO_FASTPATH`` environment variable, default off).
-        batch: evaluate each chunk's delta-replay faults as one batched
-            array program (bit-identical records; per-fault scalar
-            fallback).  Implies the fast path machinery per chunk.
-            ``None`` means "auto" (the ``REPRO_BATCH`` environment
-            variable, default off).
     """
 
     workers: int | None = None
     chunk_size: int | None = None
     backend: str = "auto"
     timeout: float | None = None
-    fast_path: bool | None = None
-    batch: bool | None = None
 
     def __post_init__(self):
         if self.backend not in ("auto", "process", "thread", "serial"):
@@ -390,16 +296,6 @@ class CampaignExecutor:
         if self.workers in (None, 0):
             return default_workers()
         return self.workers
-
-    def resolved_fast_path(self) -> bool:
-        if self.fast_path is None:
-            return default_fast_path()
-        return bool(self.fast_path)
-
-    def resolved_batch(self) -> bool:
-        if self.batch is None:
-            return default_batch()
-        return bool(self.batch)
 
     def resolved_backend(self, n_indices: int, workers: int) -> str:
         """The execution strategy actually used for ``n_indices`` strikes."""
@@ -440,15 +336,16 @@ class CampaignExecutor:
 
         Exactly one of ``count`` (with optional ``start``) or ``indices``
         selects the executions.  Returns records sorted by index —
-        bit-identical to running ``Injector.inject_one`` over the same
-        indices in a single process.
+        bit-identical to ``Injector.inject_batch`` over the same indices
+        in a single process.
 
         ``label`` names the campaign/board in trace spans and error
         context; it never affects the records.  When observability is
         configured (:mod:`repro.observability.runtime`), the executor
         emits one ``chunk`` span per worker task and one ``execution``
         span per struck execution — timings are measured where the work
-        runs and re-emitted here, so a trace always has a single writer.
+        runs and re-emitted here, so a trace always has a single writer;
+        execution spans split their chunk's time evenly.
         A worker failure raises :class:`CampaignExecutionError` carrying
         the failing execution index, chunk and label.
 
@@ -481,8 +378,6 @@ class CampaignExecutor:
         metrics = obs_runtime.get_metrics()
         progress = obs_runtime.get_progress()
         instrument = tracer is not None or metrics is not None
-        fast_path = self.resolved_fast_path()
-        batch = self.resolved_batch()
 
         workers = self.resolved_workers()
         backend = self.resolved_backend(len(indices), workers)
@@ -497,13 +392,11 @@ class CampaignExecutor:
                 kernel, device, seed, threshold_pct, chunks,
                 label=label, tracer=tracer, metrics=metrics,
                 progress=progress, instrument=instrument, on_chunk=on_chunk,
-                fast_path=fast_path, batch=batch,
             )
         return self._run_pooled(
             kernel, device, seed, threshold_pct, chunks, backend, workers,
             label=label, tracer=tracer, metrics=metrics,
             progress=progress, instrument=instrument, on_chunk=on_chunk,
-            fast_path=fast_path, batch=batch,
         )
 
     # -- serial ------------------------------------------------------------------
@@ -511,18 +404,14 @@ class CampaignExecutor:
     def _run_serial(
         self, kernel, device, seed, threshold_pct, chunks, *,
         label, tracer, metrics, progress, instrument, on_chunk=None,
-        fast_path=False, batch=False,
     ) -> list[ExecutionRecord]:
         """In-process path: same chunk runner, no pool."""
         n_total = sum(len(chunk) for chunk in chunks)
         if not instrument and progress is None and on_chunk is None:
-            # The bare PR 1 hot path: one runner call, records out.
+            # The bare hot path: one runner call, records out.
             flat = [index for chunk in chunks for index in chunk]
             try:
-                return _inject_chunk(
-                    kernel, device, seed, threshold_pct, flat,
-                    fast_path=fast_path, batch=batch,
-                )
+                return _inject_chunk(kernel, device, seed, threshold_pct, flat)
             except ChunkWorkerError as err:
                 raise CampaignExecutionError.wrap(
                     err, label=label, backend="serial", chunk=0, indices=flat,
@@ -533,7 +422,7 @@ class CampaignExecutor:
             try:
                 result = _run_chunk(
                     kernel, device, seed, threshold_pct, chunk,
-                    instrument=instrument, fast_path=fast_path, batch=batch,
+                    instrument=instrument,
                 )
             except ChunkWorkerError as err:
                 raise CampaignExecutionError.wrap(
@@ -557,7 +446,6 @@ class CampaignExecutor:
     def _run_pooled(
         self, kernel, device, seed, threshold_pct, chunks, backend, workers, *,
         label, tracer, metrics, progress, instrument, on_chunk=None,
-        fast_path=False, batch=False,
     ) -> list[ExecutionRecord]:
         """Fan chunks over a pool; drain incrementally for progress/metrics."""
         timeout = self.timeout if self.timeout is not None else default_timeout()
@@ -586,7 +474,7 @@ class CampaignExecutor:
                 for chunk_no, chunk in enumerate(chunks):
                     future = pool.submit(
                         _run_chunk, kernel, device, seed, threshold_pct, chunk,
-                        instrument, fast_path, batch,
+                        instrument,
                     )
                     chunk_of[future] = chunk_no
                 pending = set(chunk_of)
@@ -753,11 +641,10 @@ def emit_chunk_observability(
             parent=parent,
             attrs=attrs,
         )
-        if result.exec_durations is not None:
-            exec_fastpath = result.exec_fastpath or [None] * len(records)
-            for record, exec_start, exec_duration, fp_mode in zip(
-                records, result.exec_starts, result.exec_durations,
-                exec_fastpath,
+        if result.exec_fastpath is not None:
+            share = _per_record_seconds(result)
+            for pos, (record, fp_mode) in enumerate(
+                zip(records, result.exec_fastpath)
             ):
                 attrs = {
                     "index": record.index,
@@ -768,14 +655,13 @@ def emit_chunk_observability(
                     "device": device.name,
                 }
                 if fp_mode is not None:
-                    # Only fast-path campaigns carry the attribute, so
-                    # golden traces of the reference path stay byte-stable.
+                    # Only strikes that reached the kernel carry it.
                     attrs["fastpath"] = fp_mode
                 tracer.emit(
                     "execution",
                     f"exec{record.index}",
-                    start=exec_start,
-                    duration=exec_duration,
+                    start=result.start + pos * share,
+                    duration=share,
                     worker=result.worker,
                     parent=chunk_event.span_id,
                     attrs=attrs,
@@ -797,14 +683,15 @@ def emit_chunk_observability(
             "Worker chunks completed, by backend",
             ("backend",),
         ).inc(backend=backend)
-        if result.exec_durations is not None:
+        if result.exec_fastpath is not None:
             latency = metrics.histogram(
                 "repro_injection_seconds",
                 "Wall-clock seconds per struck execution",
                 ("kernel",),
             )
-            for exec_duration in result.exec_durations:
-                latency.observe(exec_duration, kernel=kernel.name)
+            share = _per_record_seconds(result)
+            for _ in records:
+                latency.observe(share, kernel=kernel.name)
         if result.cache_hits:
             metrics.counter(
                 "repro_golden_cache_hits_total",
@@ -827,3 +714,13 @@ def emit_chunk_observability(
                 "Fast-path executions that fell back to full re-execution",
                 ("kernel",),
             ).inc(result.fastpath_fallbacks, kernel=kernel.name)
+
+
+def _per_record_seconds(result: _ChunkResult) -> float:
+    """A chunk's wall time split evenly over its records.
+
+    A batched chunk has no per-execution clock, so each execution span
+    and latency sample carries this amortised share; their sum is the
+    chunk's duration, which keeps per-kernel means exact.
+    """
+    return result.duration / len(result.records) if result.records else 0.0

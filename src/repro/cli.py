@@ -166,16 +166,14 @@ def _strategy_parent(
     include_workers: bool = True,
     include_backend: bool = False,
     include_retries: bool = False,
-    include_target_ci: bool = True,
-    include_fast_path: bool = True,
 ) -> argparse.ArgumentParser:
     """The shared execution-strategy flags, as an argparse parent.
 
     Every verb that executes campaigns takes the same strategy surface
     (``--workers``/``--chunk-size``, ``--backend``, ``--retries``,
-    ``--target-ci``, ``--fast-path``/``--batch``); each verb opts into
-    the subset that applies via ``parents=[_strategy_parent(...)]``
-    instead of repeating the declarations.  Strategy never changes what
+    ``--target-ci``); each verb opts into the subset that applies via
+    ``parents=[_strategy_parent(...)]`` instead of repeating the
+    declarations.  Strategy never changes what
     any execution produces — only how much runs, where, and in what
     order — which is why these flags are uniform across surfaces while
     the spec-shaped flags (``--faulty``, ``--seed``, ...) stay per-verb.
@@ -201,30 +199,14 @@ def _strategy_parent(
             "--retries", type=int, default=3,
             help="chunk retries (exponential backoff) before a job fails",
         )
-    if include_target_ci:
-        parent.add_argument(
-            "--target-ci", type=float, default=None, dest="target_ci",
-            metavar="FRACTION",
-            help="adaptive importance sampling: stop once the pooled SDC "
-            "FIT confidence interval reaches this relative half-width "
-            "(e.g. 0.1 = ±10%%); executes only as many strikes as the "
-            "estimate needs (see docs/sampling.md)",
-        )
-    if include_fast_path:
-        parent.add_argument(
-            "--fast-path", action=argparse.BooleanOptionalAction,
-            default=None, dest="fast_path",
-            help="attempt delta replay instead of full re-execution "
-            "(records are bit-identical either way; default: the "
-            "REPRO_FASTPATH environment variable, else off)",
-        )
-        parent.add_argument(
-            "--batch", action=argparse.BooleanOptionalAction,
-            default=None, dest="batch",
-            help="evaluate whole fault chunks as one batched array "
-            "program (records are bit-identical either way; default: "
-            "the REPRO_BATCH environment variable, else off)",
-        )
+    parent.add_argument(
+        "--target-ci", type=float, default=None, dest="target_ci",
+        metavar="FRACTION",
+        help="adaptive importance sampling: stop once the pooled SDC "
+        "FIT confidence interval reaches this relative half-width "
+        "(e.g. 0.1 = ±10%%); executes only as many strikes as the "
+        "estimate needs (see docs/sampling.md)",
+    )
     return parent
 
 
@@ -240,8 +222,6 @@ def cmd_campaign(args) -> int:
         seed=args.seed,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        fast_path=args.fast_path,
-        batch=args.batch,
     )
     policy = _sampling_policy(args)
     if policy is not None and args.natural:
@@ -440,8 +420,6 @@ def cmd_queue(args) -> int:
         workers=args.workers,
         chunk_size=args.chunk_size,
         backend=args.backend,
-        fast_path=args.fast_path,
-        batch=args.batch,
         retry=RetryPolicy(max_retries=args.retries),
     )
     policy = _sampling_policy(args)
@@ -504,8 +482,6 @@ def cmd_resume(args) -> int:
             workers=args.workers,
             chunk_size=args.chunk_size,
             backend=args.backend,
-            fast_path=args.fast_path,
-            batch=args.batch,
             sampling=_sampling_policy(args),
         )
     except JournalError as err:
@@ -570,8 +546,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         chunk_size=args.chunk_size,
         backend=args.backend,
-        fast_path=args.fast_path,
-        batch=args.batch,
         retries=args.retries,
         queue_limit=args.queue_limit,
         log_requests=args.log_requests,
@@ -592,8 +566,6 @@ def cmd_agent(args) -> int:
         poll=args.poll,
         idle_exit=args.idle_exit,
         max_chunks=args.max_chunks,
-        fast_path=args.fast_path,
-        batch=args.batch,
     )
     try:
         stats = run_agent(config)
@@ -735,8 +707,6 @@ def _matrix_run_driver(args, matrix):
         workers=args.workers,
         chunk_size=args.chunk_size,
         backend=args.backend,
-        fast_path=args.fast_path,
-        batch=args.batch,
         retries=args.retries,
         sampling=_sampling_policy(args),
         wait_timeout=getattr(args, "wait_timeout", 600.0),
@@ -1107,9 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
         "agent",
         help="run a fleet worker agent against a coordinator "
         "(`repro serve --fleet`)",
-        parents=[
-            _strategy_parent(include_workers=False, include_target_ci=False)
-        ],
     )
     agent.add_argument("--url", default="http://127.0.0.1:8765")
     agent.add_argument(
@@ -1136,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit campaign(s) to a running campaign service",
         parents=[
-            _strategy_parent(include_workers=False, include_fast_path=False)
+            _strategy_parent(include_workers=False)
         ],
     )
     submit.add_argument(

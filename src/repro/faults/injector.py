@@ -9,8 +9,10 @@ generating a failure per execution" regime):
    strikes crash or hang with the resource's profile;
 3. a data-reaching strike maps to a kernel fault site (or is masked when
    the kernel never consumes that resource's data);
-4. the kernel re-executes with the corruption applied mid-flight by its own
-   arithmetic; a blown-up solve is a crash;
+4. the kernel replays the corruption as a sparse delta over its golden
+   output (or, where it has no closed form for that fault, re-executes
+   with the corruption applied mid-flight by its own arithmetic); a
+   blown-up solve is a crash;
 5. the output is diffed against the golden copy and the paper's four
    metrics are evaluated — identical output means the algorithm itself
    masked the corruption.
@@ -27,7 +29,6 @@ import numpy as np
 
 from repro._util.rng import (
     FastRngBatch,
-    child_rng,
     stable_seed_prefix,
     stable_seed_suffixed,
 )
@@ -52,17 +53,12 @@ class Injector:
         seed: campaign seed; execution ``i`` uses the derived stream
             ``(seed, kernel, device, i)`` and nothing else.
         threshold_pct: relative-error tolerance for the filtered metrics.
-        fast_path: attempt delta replay (``Kernel.run_delta`` + sparse
-            diffing) before falling back to full re-execution.  Records are
-            bit-identical either way (pinned by tests/fastpath/); the switch
-            exists so the reference path stays reachable for verification.
     """
 
     kernel: Kernel
     device: DeviceModel
     seed: int = 0
     threshold_pct: float = PAPER_THRESHOLD_PCT
-    fast_path: bool = False
     #: Mirror fast-path counts into the observability registry as they
     #: happen.  Chunk runners set this ``False`` and ship the instance
     #: counters with the finished chunk instead: the parent folds them
@@ -158,9 +154,6 @@ class Injector:
         """Expected strikes per unit fluence (a.u.) — the FIT normaliser."""
         return self._total_cross_section
 
-    def _rng_for(self, index: int) -> np.random.Generator:
-        return child_rng(self.seed, "strike", self.kernel.name, self.device.name, index)
-
     def _fate(self, index: int, rng: np.random.Generator):
         """Roll phases 1–3 of the pipeline for one strike.
 
@@ -232,35 +225,38 @@ class Injector:
         )
         return None, kind, site, fault
 
-    def _resolve_fault(
-        self, index: int, kind: ResourceKind, site, fault: KernelFault,
-        *, use_delta: bool,
-    ) -> ExecutionRecord:
-        """Phases 4–5 for one data-reaching fault, via the scalar path."""
-        sparse = None
+    def _fates(self, indices: list) -> list:
+        """Phases 1–3 for every index, over batch-seeded RNG streams.
+
+        :class:`~repro._util.rng.FastRngBatch` replays the exact per-index
+        ``default_rng`` streams, so each fate is a pure function of
+        ``(seed, kernel, device, index)`` whatever else shares the batch.
+        """
+        streams = FastRngBatch(
+            [stable_seed_suffixed(self._strike_prefix, i) for i in indices]
+        )
+        fates = []
+        index = None
         try:
-            if use_delta:
-                try:
-                    sparse = self.kernel.run_delta(fault)
-                except KernelCrashError:
-                    # The sparse replay decided the crash without dense
-                    # work — a fast-path hit.
-                    self._note_fastpath(hit=True)
-                    raise
-                self._note_fastpath(hit=sparse is not None)
-            if sparse is None:
-                output = self.kernel.run(fault).output
+            for pos, index in enumerate(indices):
+                fates.append(self._fate(index, streams.rng(pos)))
+        except Exception as exc:
+            _blame(exc, index)
+            raise
+        return fates
+
+    def _resolve_dense(
+        self, index: int, kind: ResourceKind, site, fault: KernelFault
+    ) -> ExecutionRecord:
+        """Phases 4–5 for one data-reaching fault by full re-execution."""
+        try:
+            output = self.kernel.run(fault).output
         except KernelCrashError as crash:
             return ExecutionRecord(
                 index=index, outcome=OutcomeKind.CRASH, resource=kind,
                 site=site.name, fault=fault, detail=str(crash),
             )
-
-        observation = (
-            self.kernel.observe_sparse(sparse)
-            if sparse is not None
-            else self.kernel.observe(output)
-        )
+        observation = self.kernel.observe(output)
         if not observation.is_sdc:
             return ExecutionRecord(
                 index=index, outcome=OutcomeKind.MASKED, resource=kind,
@@ -284,94 +280,93 @@ class Injector:
 
         This is the adaptive sampler's pre-classification pass
         (:mod:`repro.sampling`): the fate rolls are pure RNG — replayed
-        draw-for-draw by :meth:`inject_one`/:meth:`inject_batch` when an
-        index is actually executed — so a planner can partition a whole
-        candidate pool into equivalence classes at a tiny fraction of the
-        cost of executing it.
+        draw-for-draw by :meth:`inject_batch` when an index is actually
+        executed — so a planner can partition a whole candidate pool into
+        equivalence classes at a tiny fraction of the cost of executing it.
         """
-        indices = [int(i) for i in indices]
-        streams = FastRngBatch(
-            [stable_seed_suffixed(self._strike_prefix, i) for i in indices]
-        )
         fates = []
-        for pos, index in enumerate(indices):
-            record, kind, site, _ = self._fate(index, streams.rng(pos))
+        for record, kind, site, _ in self._fates([int(i) for i in indices]):
             if record is not None:
                 fates.append((record.outcome, kind, None))
             else:
                 fates.append((None, kind, site.name))
         return fates
 
-    def inject_one(self, index: int) -> ExecutionRecord:
-        """Simulate one struck execution and classify its outcome."""
-        record, kind, site, fault = self._fate(index, self._rng_for(index))
-        if record is not None:
-            return record
-        return self._resolve_fault(
-            index, kind, site, fault, use_delta=self.fast_path
-        )
+    def inject_batch(
+        self, indices, *, modes: "list | None" = None
+    ) -> list[ExecutionRecord]:
+        """Simulate a chunk of strikes as one batched array program.
 
-    def inject_batch(self, indices) -> list[ExecutionRecord]:
-        """Simulate a whole chunk of strikes as one batched array program.
+        The one production path, bit-identical to
+        :meth:`inject_reference` (pinned per kernel × site by the
+        differential suite):
 
-        Bit-identical to ``[self.inject_one(i) for i in indices]`` by
-        construction (pinned per kernel × site by the differential suite):
-
-        1. the architectural-fate rolls run up front over batch-seeded RNG
-           streams (:class:`~repro._util.rng.FastRngBatch` replays the
-           exact per-index ``default_rng`` streams), so only data-reaching
-           strikes enter the kernel at all;
-        2. with :attr:`fast_path` on, the surviving faults go through
+        1. the architectural-fate rolls run up front (:meth:`_fates`), so
+           only data-reaching strikes enter the kernel at all;
+        2. the surviving faults go through
            :meth:`~repro.kernels.base.Kernel.run_delta_batch` — one
            stacked array program per kernel — with per-fault fallback:
-           a fault the kernel cannot replay in closed form drops to the
-           scalar dense path alone, never the whole chunk;
+           a fault the kernel cannot replay in closed form re-executes
+           densely (:meth:`~repro.kernels.base.Kernel.run`) alone, never
+           the whole chunk;
         3. the resulting sparse deltas are observed and evaluated in one
            concatenated pass (:func:`repro.faults.batch
            .evaluate_sparse_batch`).
 
-        Fast-path hit/fallback counters are identical to the scalar loop's.
+        An exception raised for one execution — its fate rolls or its
+        dense fallback — carries that execution's index as
+        ``strike_index``; one raised by a stacked pass over several faults
+        carries none.  ``modes``, when given, is extended with one entry
+        per record: ``"hit"`` (resolved by delta replay), ``"fallback"``
+        (re-executed densely) or ``None`` (never reached the kernel).
         """
         indices = [int(i) for i in indices]
-        streams = FastRngBatch(
-            [stable_seed_suffixed(self._strike_prefix, i) for i in indices]
-        )
         records: list = [None] * len(indices)
+        fastpath: list = [None] * len(indices)
         pending = []  # (position, kind, site, fault) for data-reaching strikes
-        for pos, index in enumerate(indices):
-            record, kind, site, fault = self._fate(index, streams.rng(pos))
+        for pos, (record, kind, site, fault) in enumerate(self._fates(indices)):
             if record is not None:
                 records[pos] = record
             else:
                 pending.append((pos, kind, site, fault))
 
-        if not self.fast_path:
-            for pos, kind, site, fault in pending:
-                records[pos] = self._resolve_fault(
-                    indices[pos], kind, site, fault, use_delta=False
-                )
-            return records
-
-        slots = self.kernel.run_delta_batch([entry[3] for entry in pending])
+        try:
+            slots = self.kernel.run_delta_batch([entry[3] for entry in pending])
+        except Exception as exc:
+            # A kernel names the fault whose own replay raised; a stacked
+            # pass over several faults names none.
+            at = getattr(exc, "fault_position", None)
+            if at is None and len(pending) == 1:
+                at = 0
+            if at is not None:
+                _blame(exc, indices[pending[at][0]])
+            raise
         sparse_entries = []  # pending entries whose delta replay succeeded
         sparses = []
-        for (pos, kind, site, fault), slot in zip(pending, slots):
-            if isinstance(slot, KernelCrashError):
+        pos = None
+        try:
+            for (pos, kind, site, fault), slot in zip(pending, slots):
+                if slot is None:
+                    fastpath[pos] = "fallback"
+                    self._note_fastpath(hit=False)
+                    records[pos] = self._resolve_dense(
+                        indices[pos], kind, site, fault
+                    )
+                    continue
+                fastpath[pos] = "hit"
                 self._note_fastpath(hit=True)
-                records[pos] = ExecutionRecord(
-                    index=indices[pos], outcome=OutcomeKind.CRASH,
-                    resource=kind, site=site.name, fault=fault,
-                    detail=str(slot),
-                )
-            elif slot is None:
-                self._note_fastpath(hit=False)
-                records[pos] = self._resolve_fault(
-                    indices[pos], kind, site, fault, use_delta=False
-                )
-            else:
-                self._note_fastpath(hit=True)
-                sparse_entries.append((pos, kind, site, fault))
-                sparses.append(slot)
+                if isinstance(slot, KernelCrashError):
+                    records[pos] = ExecutionRecord(
+                        index=indices[pos], outcome=OutcomeKind.CRASH,
+                        resource=kind, site=site.name, fault=fault,
+                        detail=str(slot),
+                    )
+                else:
+                    sparse_entries.append((pos, kind, site, fault))
+                    sparses.append(slot)
+        except Exception as exc:
+            _blame(exc, None if pos is None else indices[pos])
+            raise
 
         evaluated = evaluate_sparse_batch(
             self.kernel, sparses, threshold_pct=self.threshold_pct
@@ -390,9 +385,40 @@ class Injector:
                     index=indices[pos], outcome=OutcomeKind.SDC,
                     resource=kind, site=site.name, report=report, fault=fault,
                 )
+        if modes is not None:
+            modes.extend(fastpath)
         return records
+
+    def inject_one(self, index: int) -> ExecutionRecord:
+        """Simulate one struck execution and classify its outcome."""
+        return self.inject_batch([index])[0]
 
     def inject_many(self, count: int, *, start: int = 0) -> list[ExecutionRecord]:
         """Simulate ``count`` struck executions, one per index in the
         half-open range ``[start, start + count)``."""
-        return [self.inject_one(start + i) for i in range(count)]
+        return self.inject_batch(range(start, start + count))
+
+    def inject_reference(self, indices) -> list[ExecutionRecord]:
+        """Full re-execution of every data-reaching strike: the test oracle.
+
+        The same fate rolls as :meth:`inject_batch`, then a dense
+        :meth:`~repro.kernels.base.Kernel.run` and a full diff per fault —
+        no delta replay, no fast-path counting.  The differential and
+        golden suites compare production records against this; no
+        campaign, store or CLI option reaches it.
+        """
+        indices = [int(i) for i in indices]
+        return [
+            record
+            if record is not None
+            else self._resolve_dense(index, kind, site, fault)
+            for index, (record, kind, site, fault) in zip(
+                indices, self._fates(indices)
+            )
+        ]
+
+
+def _blame(exc: BaseException, index: "int | None") -> None:
+    """Tag ``exc`` with the execution index it was raised for (first wins)."""
+    if index is not None and not hasattr(exc, "strike_index"):
+        exc.strike_index = index

@@ -3,7 +3,7 @@
 :class:`FleetAgent` is everything a remote box needs to contribute to a
 campaign: a :class:`~repro.service.client.ServiceClient` pointed at the
 coordinator and the same chunk runner
-(:func:`repro.beam.executor._run_chunk` — fast path, batching, golden
+(:func:`repro.beam.executor._run_chunk` — batched delta replay, golden
 cache and all) the local pool uses.  The loop:
 
 1. ``POST /v1/leases`` — pull the next granted chunk (spec rides along;
@@ -65,9 +65,6 @@ class AgentConfig:
             work (``None`` = poll forever, until SIGINT).
         max_chunks: exit after committing this many chunks (``None`` =
             unbounded; the e2e tests use it to bound runtime).
-        fast_path: override the coordinator's fast-path advertisement
-            (``None`` = follow the lease).
-        batch: override the batched-evaluation advertisement likewise.
     """
 
     url: str = DEFAULT_URL
@@ -75,8 +72,6 @@ class AgentConfig:
     poll: float = 0.5
     idle_exit: "float | None" = None
     max_chunks: "int | None" = None
-    fast_path: "bool | None" = None
-    batch: "bool | None" = None
 
     def resolved_name(self) -> str:
         return self.name or default_agent_name()
@@ -206,16 +201,6 @@ class FleetAgent:
     def _execute_lease(self, lease: dict) -> None:
         campaign = self._campaign_for(lease)
         spec_seed = int(lease["spec"]["seed"])
-        fast_path = (
-            self.config.fast_path
-            if self.config.fast_path is not None
-            else bool(lease.get("fast_path"))
-        )
-        batch = (
-            self.config.batch
-            if self.config.batch is not None
-            else bool(lease.get("batch"))
-        )
         hold = float(os.environ.get(HOLD_ENV, "0") or 0)
         if hold > 0:  # chaos-test window (module docstring)
             self._sleep(hold)
@@ -228,7 +213,6 @@ class FleetAgent:
             result = _run_chunk(
                 campaign.kernel, campaign.device, spec_seed,
                 campaign.threshold_pct, list(lease["indices"]),
-                False, fast_path, batch,
             )
         finally:
             heartbeat.stop()

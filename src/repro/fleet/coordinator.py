@@ -154,10 +154,6 @@ class FleetCoordinator:
             any number of agents may pull.
         chunk_size: executions per lease (``None`` = auto).
         lease_ttl: seconds a lease lives without a heartbeat.
-        fast_path: advertise delta-replay to agents (``None`` = the
-            ``REPRO_FASTPATH`` environment default).  Execution strategy
-            only — records are bit-identical either way.
-        batch: advertise batched evaluation likewise.
         reuse: serve specs already complete in the store as cache hits.
         metrics: a :class:`~repro.observability.MetricsRegistry` for the
             lease/fleet counters (``None`` = no metrics).
@@ -176,8 +172,6 @@ class FleetCoordinator:
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
         lease_ttl: float = 15.0,
-        fast_path: "bool | None" = None,
-        batch: "bool | None" = None,
         reuse: bool = True,
         metrics=None,
         tracer=None,
@@ -187,7 +181,6 @@ class FleetCoordinator:
         self.store = store
         self._executor = CampaignExecutor(
             workers=workers, chunk_size=chunk_size, backend="serial",
-            fast_path=fast_path, batch=batch,
         )
         self.reuse = reuse
         self._metrics = metrics
@@ -294,9 +287,8 @@ class FleetCoordinator:
 
         Expired leases are reaped first, so a dead agent's chunk is
         regrantable the moment anyone asks for work.  The wire payload
-        carries the lease, the spec to build the campaign from, the
-        coordinator's fast-path/batch advertisement, and the ttl the
-        agent should heartbeat against.
+        carries the lease, the spec to build the campaign from, and the
+        ttl the agent should heartbeat against.
         """
         with self._lock:
             now = self._touch(worker)
@@ -339,8 +331,6 @@ class FleetCoordinator:
                 spec=job.spec.to_dict(),
                 label=job.label,
                 ttl=self._leases.ttl,
-                fast_path=self._executor.resolved_fast_path(),
-                batch=self._executor.resolved_batch(),
             )
             return payload
 

@@ -189,6 +189,17 @@ def clear_shared_state() -> None:
     _shared_state_registry.clear()
 
 
+def blame_fault(exc: BaseException, position: "int | None") -> None:
+    """Tag ``exc`` with the batch position of the fault it was raised for.
+
+    Batched replays call this for errors in one fault's own replay, so
+    the injector can name the failing execution; errors in a pass stacked
+    over several faults stay untagged.
+    """
+    if position is not None and not hasattr(exc, "fault_position"):
+        exc.fault_position = position
+
+
 class KernelCrashError(RuntimeError):
     """The faulty execution crashed (non-finite state, solver blow-up, ...).
 
@@ -435,51 +446,30 @@ class Kernel(abc.ABC):
             self._golden_finite = bool(np.all(np.isfinite(self.golden().output)))
         return self._golden_finite
 
-    def run_delta(self, fault: KernelFault) -> SparseOutput | None:
-        """Execute one fault as a sparse delta over the golden output, if possible.
+    def run_delta_batch(self, faults) -> list:
+        """Sparse-replay a chunk of faults over the golden output.
 
-        Returns ``None`` whenever this kernel (or this particular fault
-        site/progress) admits no closed-form sparse replay — the caller
-        must then fall back to :meth:`run`.  A ``None`` return is always
-        safe: the fault's random stream is derived fresh from
-        ``fault.seed`` on each path, so a fallback re-derives identical
-        random choices.
+        The only delta-replay entry point.  Returns one slot per fault, in
+        order:
 
-        When a :class:`SparseOutput` *is* returned, materialising it over
-        the golden output is bit-identical to ``self.run(fault).output``,
-        and crashes are raised as the same :class:`KernelCrashError` the
-        full path would raise.
+        * a :class:`SparseOutput` — the fault replayed in closed form:
+          materialising it over the golden output is bit-identical to
+          ``self.run(fault).output``;
+        * ``None`` — no closed-form replay for this fault (kernel, site or
+          progress); the caller falls back to :meth:`run` *for that fault
+          alone*.  Always safe: the fault's random stream is derived fresh
+          from ``fault.seed`` on each path, so the fallback re-derives
+          identical random choices;
+        * a :class:`KernelCrashError` — the sparse replay decided the
+          crash :meth:`run` would raise (returned, not raised, so one
+          crashing fault never takes the rest of the chunk down with it).
+
+        Kernels override :meth:`_execute_delta_batch`; an exception a
+        kernel raises while replaying one fault of the batch carries that
+        fault's position as ``fault_position`` (see :func:`blame_fault`).
 
         Raises:
-            KernelCrashError: when the corrupted computation blows up.
-            KeyError: when the fault names a site the kernel does not expose.
-        """
-        if fault.site not in {s.name for s in self.fault_sites()}:
-            raise KeyError(f"{self.name} has no fault site {fault.site!r}")
-        if not self.golden_is_finite():
-            return None  # sparse diff not equivalent over non-finite golden
-        return self._execute_delta(fault)
-
-    def _execute_delta(self, fault: KernelFault) -> SparseOutput | None:
-        """Kernel-specific sparse replay; default: no fast path."""
-        return None
-
-    def run_delta_batch(self, faults) -> list:
-        """Sparse-replay a whole chunk of faults as one batched program.
-
-        Returns one slot per fault, in order:
-
-        * a :class:`SparseOutput` — the fault replayed in closed form;
-        * ``None`` — no closed-form replay for this fault; the caller
-          falls back to :meth:`run` *for that fault alone*;
-        * a :class:`KernelCrashError` — the sparse replay decided the
-          crash (returned, not raised, so one crashing fault never takes
-          the rest of the chunk down with it).
-
-        Per-slot semantics match :meth:`run_delta` exactly; kernels
-        override :meth:`_execute_delta_batch` to stack same-site faults
-        into one vectorised evaluation, and the default simply loops the
-        scalar replay.
+            KeyError: when a fault names a site the kernel does not expose.
         """
         known = {s.name for s in self.fault_sites()}
         for fault in faults:
@@ -488,18 +478,12 @@ class Kernel(abc.ABC):
         if not faults:
             return []
         if not self.golden_is_finite():
-            return [None] * len(faults)
+            return [None] * len(faults)  # sparse diff not equivalent
         return self._execute_delta_batch(list(faults))
 
     def _execute_delta_batch(self, faults: list) -> list:
-        """Kernel-specific batched replay; default: loop the scalar path."""
-        slots: list = []
-        for fault in faults:
-            try:
-                slots.append(self._execute_delta(fault))
-            except KernelCrashError as crash:
-                slots.append(crash)
-        return slots
+        """Kernel-specific batched replay; default: no closed form."""
+        return [None] * len(faults)
 
     # -- shared state (process pools) --------------------------------------------
 

@@ -31,6 +31,7 @@ from repro.kernels.base import (
     Kernel,
     KernelFault,
     SparseOutput,
+    blame_fault,
 )
 from repro.kernels.classification import TABLE_I, KernelClassification
 from repro.kernels.inputs import balanced_matrix
@@ -184,14 +185,19 @@ class Dgemm(Kernel):
         streams = FastRngBatch([fault.seed for fault in faults])
         slots = []
         with np.errstate(all="ignore"):
-            for b, fault in enumerate(faults):
-                handler = getattr(self, f"_delta_{fault.site}")
-                flat, values = handler(golden, fault, rng=streams.rng(b))
-                slots.append(
-                    SparseOutput.trusted(
-                        np.asarray(flat, dtype=np.intp), np.asarray(values)
+            b = None
+            try:
+                for b, fault in enumerate(faults):
+                    handler = getattr(self, f"_delta_{fault.site}")
+                    flat, values = handler(golden, fault, rng=streams.rng(b))
+                    slots.append(
+                        SparseOutput.trusted(
+                            np.asarray(flat, dtype=np.intp), np.asarray(values)
+                        )
                     )
-                )
+            except Exception as exc:
+                blame_fault(exc, b)
+                raise
         return slots
 
     # -- fault handlers -----------------------------------------------------------

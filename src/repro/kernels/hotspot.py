@@ -32,6 +32,7 @@ from repro.kernels.base import (
     KernelCrashError,
     KernelFault,
     SparseOutput,
+    blame_fault,
 )
 
 #: Upper bound on the memory the delta-replay fast path may spend keeping
@@ -416,7 +417,7 @@ class HotSpot(Kernel):
             start_it = strike_iter + 1
             # The mis-scheduled tile lags one timestep behind.
             w = states[strike_iter, src[0] : src[1], src[2] : src[3]].copy()
-        else:  # pragma: no cover - guarded by Kernel.run_delta
+        else:  # pragma: no cover - guarded by Kernel.run_delta_batch
             raise KeyError(fault.site)
         return start_it, src, w, power_row
 
@@ -463,18 +464,6 @@ class HotSpot(Kernel):
                 )
         return self._seal_window(bounds, w)
 
-    def _execute_delta(self, fault: KernelFault) -> SparseOutput | None:
-        states = self._iteration_states()
-        if states is None:
-            return None  # state chain too large: fall back
-        start_it, bounds, w, power_row = self._prepare_delta(
-            fault, fault.rng(), states
-        )
-        result = self._replay_adaptive(start_it, bounds, w, power_row, states)
-        if isinstance(result, KernelCrashError):
-            raise result
-        return result
-
     def _execute_delta_batch(self, faults: list) -> list:
         """Batched light-cone replay: per-fault adaptive windows.
 
@@ -490,13 +479,18 @@ class HotSpot(Kernel):
             return [None] * len(faults)
         streams = FastRngBatch([fault.seed for fault in faults])
         slots: list = []
-        for b, fault in enumerate(faults):
-            start_it, bounds, w, power_row = self._prepare_delta(
-                fault, streams.rng(b), states
-            )
-            slots.append(
-                self._replay_adaptive(start_it, bounds, w, power_row, states)
-            )
+        b = None
+        try:
+            for b, fault in enumerate(faults):
+                start_it, bounds, w, power_row = self._prepare_delta(
+                    fault, streams.rng(b), states
+                )
+                slots.append(
+                    self._replay_adaptive(start_it, bounds, w, power_row, states)
+                )
+        except Exception as exc:
+            blame_fault(exc, b)
+            raise
         return slots
 
     def _seal_window(self, bounds, w):

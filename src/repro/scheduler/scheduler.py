@@ -206,14 +206,6 @@ class CampaignScheduler:
             — but ``"serial"`` runs chunks inline for deterministic tests.
         timeout: wall-clock bound on one :meth:`run` (``None`` = the
             ``REPRO_POOL_TIMEOUT`` environment default).
-        fast_path: attempt delta replay in workers (``None`` = the
-            ``REPRO_FASTPATH`` environment default).  Records are
-            bit-identical either way, so mixed-mode resumes are safe.
-        batch: evaluate whole chunks as one batched array program
-            (``None`` = the ``REPRO_BATCH`` environment default).  Like
-            ``fast_path`` this is an execution strategy, not part of the
-            spec identity: records stay bit-identical, so mixed-mode
-            resumes are safe.
         retry: the transient-failure policy (default
             :class:`RetryPolicy`).
         reuse: serve specs already complete in the store as cache hits.
@@ -234,8 +226,6 @@ class CampaignScheduler:
         chunk_size: "int | None" = None,
         backend: str = "auto",
         timeout: "float | None" = None,
-        fast_path: "bool | None" = None,
-        batch: "bool | None" = None,
         retry: "RetryPolicy | None" = None,
         reuse: bool = True,
         seed: int = 0,
@@ -246,7 +236,7 @@ class CampaignScheduler:
         self.store = store
         self._executor = CampaignExecutor(
             workers=workers, chunk_size=chunk_size, backend=backend,
-            timeout=timeout, fast_path=fast_path, batch=batch,
+            timeout=timeout,
         )
         self.retry = retry if retry is not None else RetryPolicy()
         self.reuse = reuse
@@ -280,7 +270,7 @@ class CampaignScheduler:
         dict) queues the job in adaptive importance-sampled mode: rounds
         are planned as prior rounds' chunks land, and the job seals when
         its stopping rule fires instead of when ``n_faulty`` strikes are
-        done.  Like ``fast_path``/``batch`` the policy is execution
+        done.  Like the worker count the policy is execution
         strategy, not spec identity.  A stored journal holding ``plan``
         rows always resumes adaptively under its journaled policy; a
         stored fixed journal always finishes fixed even when ``sampling``
@@ -538,8 +528,6 @@ class CampaignScheduler:
             job.campaign.threshold_pct,
             task.indices,
             instrument,
-            self._executor.resolved_fast_path(),
-            self._executor.resolved_batch(),
         )
         if pool is None:  # serial backend: run inline, wrap as a future
             future: Future = Future()

@@ -215,8 +215,6 @@ def execute_spec(
     chunk_size: "int | None" = None,
     timeout: "float | None" = None,
     backend: str = "auto",
-    fast_path: "bool | None" = None,
-    batch: "bool | None" = None,
     sampling=None,
     reuse: bool = True,
 ) -> RunOutcome:
@@ -227,17 +225,11 @@ def execute_spec(
     * stored and complete → content-addressed cache hit (with ``reuse``),
       returning the stored result without simulating anything.
 
-    ``fast_path`` (``None`` = the ``REPRO_FASTPATH`` environment default)
-    and ``batch`` (``None`` = the ``REPRO_BATCH`` default) are safe to
-    flip between run and resume: their records are bit-identical to full
-    re-execution, so a journal written one way resumes the other way
-    without divergence.
-
     ``sampling`` (a :class:`~repro.sampling.SamplingPolicy` or its wire
-    dict) switches the run to adaptive importance sampling — like
-    ``fast_path``/``batch`` it is execution strategy, **not** spec
-    identity, so the adaptive run shares its run id and journal with the
-    fixed run of the same spec.  A journal that already holds ``plan``
+    dict) switches the run to adaptive importance sampling — like the
+    worker count it is execution strategy, **not** spec identity, so the
+    adaptive run shares its run id and journal with the fixed run of the
+    same spec.  A journal that already holds ``plan``
     rows always resumes adaptively under its *journaled* policy; a fixed
     journal (records, no plan rows) always finishes as the fixed plan
     even when ``sampling`` is passed — switching strategies mid-journal
@@ -245,6 +237,18 @@ def execute_spec(
     """
     run_id = spec.run_id()
     stored = store.load(run_id) if store.has(run_id) else None
+    return _execute_stored(
+        store, spec, stored, workers=workers, chunk_size=chunk_size,
+        timeout=timeout, backend=backend, sampling=sampling, reuse=reuse,
+    )
+
+
+def _execute_stored(
+    store, spec, stored, *, workers, chunk_size, timeout, backend, sampling,
+    reuse,
+) -> RunOutcome:
+    """:func:`execute_spec` once the spec's stored run (if any) is loaded."""
+    run_id = spec.run_id()
     if stored is not None and stored.status == "complete" and reuse:
         _note_run(spec, "cached")
         return RunOutcome(
@@ -253,7 +257,7 @@ def execute_spec(
         )
     campaign = spec.build_campaign(
         workers=workers, chunk_size=chunk_size, timeout=timeout,
-        backend=backend, fast_path=fast_path, batch=batch,
+        backend=backend,
     )
     policy = _resolve_sampling(sampling)
     if stored is None:
@@ -312,8 +316,6 @@ def resume_run(
     chunk_size: "int | None" = None,
     timeout: "float | None" = None,
     backend: str = "auto",
-    fast_path: "bool | None" = None,
-    batch: "bool | None" = None,
     sampling=None,
 ) -> RunOutcome:
     """Resume a stored run by id (``repro resume <run-id>``).
@@ -324,17 +326,18 @@ def resume_run(
     close record.  Completing an already-complete run is a no-op cache
     hit.  An adaptive journal (one holding ``plan`` rows) resumes
     adaptively under its journaled policy regardless of ``sampling``.
+    The journal is scanned twice: once to load it, once to reopen it for
+    append.
     """
     if not store.has(run_id):
         raise JournalError(
             f"no stored run {run_id!r} under {store.root} "
             f"(known: {', '.join(store.run_ids()) or 'none'})"
         )
-    spec = store.load(run_id).spec
-    return execute_spec(
-        store, spec, workers=workers, chunk_size=chunk_size,
-        timeout=timeout, backend=backend, fast_path=fast_path, batch=batch,
-        sampling=sampling, reuse=True,
+    stored = store.load(run_id)
+    return _execute_stored(
+        store, stored.spec, stored, workers=workers, chunk_size=chunk_size,
+        timeout=timeout, backend=backend, sampling=sampling, reuse=True,
     )
 
 

@@ -19,7 +19,7 @@ arguments), not introspected kernel attributes — kernels are free to
 normalise or derive attributes in their constructors.
 
 Execution *strategy* is deliberately not identity.  Worker counts,
-``fast_path``/``batch`` switches and the adaptive sampling policy
+backends and the adaptive sampling policy
 (:class:`~repro.sampling.SamplingPolicy`) all change how much work runs
 and in what order, but never what any executed index produces — so an
 adaptive run shares its run id (and its journal) with the fixed-fluence
@@ -155,17 +155,8 @@ class CampaignSpec:
         chunk_size: "int | None" = None,
         timeout: "float | None" = None,
         backend: str = "auto",
-        fast_path: "bool | None" = None,
-        batch: "bool | None" = None,
     ):
-        """Instantiate the runnable :class:`~repro.beam.campaign.Campaign`.
-
-        ``fast_path`` and ``batch`` are execution strategies, not part of
-        the spec: their records are bit-identical to the reference path,
-        so the same run id addresses all modes (resuming a reference
-        journal with either switch on, or vice versa, is safe by
-        construction).
-        """
+        """Instantiate the runnable :class:`~repro.beam.campaign.Campaign`."""
         from repro.arch.registry import make_device
         from repro.beam.campaign import Campaign
         from repro.kernels.registry import make_kernel
@@ -181,6 +172,4 @@ class CampaignSpec:
             chunk_size=chunk_size,
             timeout=timeout,
             backend=backend,
-            fast_path=fast_path,
-            batch=batch,
         )

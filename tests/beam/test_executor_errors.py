@@ -15,7 +15,9 @@ import pytest
 
 from repro.arch import k40
 from repro.beam import Campaign, CampaignExecutionError, ChunkWorkerError
-from repro.beam.executor import CampaignExecutor
+from repro.beam.executor import CampaignExecutor, _run_chunk
+from repro.faults import injector as injector_module
+from repro.faults.injector import Injector
 from repro.kernels import Dgemm
 
 POOL_TIMEOUT = 120.0
@@ -26,13 +28,25 @@ N_FAULTY = 32
 class ExplodingDgemm(Dgemm):
     """Raises on every struck execution (golden runs stay clean).
 
-    Module-level so the process backend can pickle it into workers.
+    Declines every delta replay, so each struck execution takes the dense
+    fallback (``_execute``) and raises there.  Module-level so the process
+    backend can pickle it into workers.
     """
+
+    def run_delta_batch(self, faults):
+        return [None] * len(faults)
 
     def _execute(self, fault):
         if fault is not None:
             raise ValueError("beam window shattered")
         return super()._execute(fault)
+
+
+class ProductTermReplayFails(Dgemm):
+    """Raises inside its own delta replay of ``product_term`` faults only."""
+
+    def _delta_product_term(self, golden, fault, rng=None):
+        raise ValueError("product-term replay shattered")
 
 
 def run_and_catch(backend: str, label: str = "boardX") -> CampaignExecutionError:
@@ -109,3 +123,61 @@ class TestChunkWorkerErrorPickling:
         assert clone.index == 17
         assert clone.message == "ValueError: boom"
         assert str(clone) == "execution 17 failed: ValueError: boom"
+
+
+@pytest.mark.telemetry
+class TestExactFailingIndex:
+    """Per-fault failures name their execution, not the chunk's first.
+
+    Only a pass stacked over several faults may blame the chunk start.
+    """
+
+    INDICES = list(range(9, 49))
+
+    def _fates(self):
+        injector = Injector(kernel=Dgemm(n=16), device=k40(), seed=1)
+        return list(zip(self.INDICES, injector.classify_batch(self.INDICES)))
+
+    def _failing_index(self, kernel):
+        with pytest.raises(ChunkWorkerError) as info:
+            _run_chunk(kernel, k40(), 1, 2.0, self.INDICES)
+        return info.value.index
+
+    def test_dense_fallback_names_its_execution(self):
+        expected = next(
+            index for index, (outcome, _, _) in self._fates()
+            if outcome is None
+        )
+        assert expected != self.INDICES[0]
+        assert self._failing_index(ExplodingDgemm(n=16)) == expected
+
+    def test_per_fault_replay_names_its_execution(self):
+        reaching = [
+            (index, site) for index, (outcome, _, site) in self._fates()
+            if outcome is None
+        ]
+        expected = next(
+            index for index, site in reaching if site == "product_term"
+        )
+        assert expected != reaching[0][0]
+        assert self._failing_index(ProductTermReplayFails(n=16)) == expected
+
+    def test_fate_rolls_name_their_execution(self, monkeypatch):
+        fate = Injector._fate
+
+        def failing_fate(self, index, rng):
+            if index == 17:
+                raise RuntimeError("fate roll shattered")
+            return fate(self, index, rng)
+
+        monkeypatch.setattr(Injector, "_fate", failing_fate)
+        assert self._failing_index(Dgemm(n=16)) == 17
+
+    def test_stacked_pass_blames_the_chunk_start(self, monkeypatch):
+        def failing_evaluation(*args, **kwargs):
+            raise RuntimeError("stacked evaluation shattered")
+
+        monkeypatch.setattr(
+            injector_module, "evaluate_sparse_batch", failing_evaluation
+        )
+        assert self._failing_index(Dgemm(n=16)) == self.INDICES[0]

@@ -1,14 +1,14 @@
-"""Batched delta execution differential suite: batch ≡ scalar, bit for bit.
+"""Batched delta execution differential suite: batch ≡ reference, bit for bit.
 
-``Injector.inject_batch`` evaluates a whole chunk of same-kernel faults as
-one array program (stacked closed-form deltas, one concatenated sparse
-evaluation, batch-seeded RNG streams).  Like the per-execution fast path it
-is only allowed to exist because it is *exactly* the scalar loop in fewer
-passes.  This suite pins that contract:
+``Injector.inject_batch`` — the one production path — evaluates a whole
+chunk of same-kernel faults as one array program (stacked closed-form
+deltas, one concatenated sparse evaluation, batch-seeded RNG streams).  It
+is only allowed to exist because it is *exactly* full re-execution in
+fewer passes.  This suite pins that contract:
 
-* **injector level** — ``inject_batch`` record streams equal the
-  ``inject_one`` loop's, serialised to hex-float rows, per kernel × device,
-  with the fast path on and off, under per-fault fallback mixes;
+* **injector level** — ``inject_batch`` record streams equal
+  ``inject_reference``'s, serialised to rows, per kernel × device, under
+  per-fault fallback mixes;
 * **observation level** — ``observe_sparse`` equals ``observe`` of the
   materialised delta bitwise, over random sparse deltas including empty
   deltas and ``extent > 1`` bursts;
@@ -16,7 +16,7 @@ passes.  This suite pins that contract:
   logs on every backend, chunk planning covers exactly the half-open index
   range, and an interrupted batched run resumes byte-identically;
 * **fixture level** — the recorded ``tests/golden/`` campaigns reproduce
-  with ``REPRO_BATCH=1``;
+  on the production path;
 * **accounting** — chunk counters are folded into the metrics registry
   exactly once per *successful* chunk: a chunk that fails after partial
   progress and is retried must not double-count (the PR 6 fold fix);
@@ -42,7 +42,6 @@ from repro.beam.executor import (
     CampaignExecutor,
     ChunkWorkerError,
     _run_chunk,
-    default_batch,
 )
 from repro.beam.logs import record_to_row
 from repro.faults import Injector
@@ -64,7 +63,10 @@ from tests.beam.test_golden_trace import (
     outcome_rows,
     summary_payload,
 )
-from tests.fastpath.test_differential import KERNEL_FACTORIES, _device_for
+from tests.fastpath.test_differential import (
+    KERNEL_FACTORIES,
+    reference_result,
+)
 
 
 def _rows(records):
@@ -72,7 +74,7 @@ def _rows(records):
 
 
 class TestInjectorBatch:
-    """inject_batch ≡ the inject_one loop, serialised to hex-float rows."""
+    """inject_batch ≡ inject_reference, serialised to rows."""
 
     PAIRS = [
         ("dgemm", k40),
@@ -88,31 +90,41 @@ class TestInjectorBatch:
         PAIRS,
         ids=[f"{k}-{d.__name__}" for k, d in PAIRS],
     )
-    @pytest.mark.parametrize("fast_path", (False, True))
-    def test_records_bit_identical(self, kernel_name, make_device, fast_path):
+    @pytest.mark.parametrize("one_by_one", (False, True))
+    def test_records_bit_identical(self, kernel_name, make_device, one_by_one):
         count, seed = 40, 29
-        scalar = Injector(
+        reference = Injector(
             kernel=KERNEL_FACTORIES[kernel_name](), device=make_device(),
-            seed=seed, fast_path=fast_path,
-        )
+            seed=seed,
+        ).inject_reference(range(count))
         batched = Injector(
             kernel=KERNEL_FACTORIES[kernel_name](), device=make_device(),
-            seed=seed, fast_path=fast_path,
+            seed=seed,
         )
-        reference = scalar.inject_many(count)
-        got = batched.inject_batch(range(count))
+        modes = []
+        if one_by_one:
+            # One fault per batch: no stacked pass sees a neighbour.
+            got = [
+                record
+                for i in range(count)
+                for record in batched.inject_batch([i], modes=modes)
+            ]
+        else:
+            got = batched.inject_batch(range(count), modes=modes)
         assert _rows(got) == _rows(reference)
-        # Hit/fallback accounting is identical to the scalar loop's.
-        assert batched.fastpath_hits == scalar.fastpath_hits
-        assert batched.fastpath_fallbacks == scalar.fastpath_fallbacks
+        # Every strike that reached the kernel is counted exactly once,
+        # and the per-record modes agree with the counters.
+        reached = sum(1 for r in got if r.fault is not None)
+        assert batched.fastpath_hits + batched.fastpath_fallbacks == reached
+        assert modes.count("hit") == batched.fastpath_hits
+        assert modes.count("fallback") == batched.fastpath_fallbacks
 
     def test_noncontiguous_indices_preserve_order(self):
         injector = Injector(
             kernel=KERNEL_FACTORIES["dgemm"](), device=k40(), seed=5,
-            fast_path=True,
         )
         picked = [31, 2, 17, 3]
-        reference = [injector.inject_one(i) for i in picked]
+        reference = injector.inject_reference(picked)
         got = injector.inject_batch(picked)
         assert _rows(got) == _rows(reference)
         assert [r.index for r in got] == picked
@@ -124,7 +136,6 @@ class TestInjectorBatch:
         # in one batch without disturbing each other.
         injector = Injector(
             kernel=KERNEL_FACTORIES["clamr"](), device=xeonphi(), seed=9,
-            fast_path=True,
         )
         injector.inject_batch(range(40))
         assert injector.fastpath_hits > 0
@@ -136,7 +147,6 @@ class TestInjectorBatch:
         # never both, never neither.
         injector = Injector(
             kernel=KERNEL_FACTORIES["clamr"](), device=xeonphi(), seed=9,
-            fast_path=True,
         )
         records = injector.inject_batch(range(12))
         reached = sum(1 for r in records if r.fault is not None)
@@ -204,38 +214,38 @@ class TestCampaignBackends:
 
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_log_bytes_match_reference(self, backend, tmp_path):
-        def run(backend, **mode):
-            return Campaign(
-                kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11,
-                workers=2, chunk_size=7, backend=backend,
-                timeout=POOL_TIMEOUT, **mode,
-            ).run()
+        def spec():
+            return dict(kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11)
 
         reference_path = tmp_path / "reference.jsonl"
         batched_path = tmp_path / f"batch_{backend}.jsonl"
-        write_log(run("serial"), reference_path)
-        write_log(run(backend, fast_path=True, batch=True), batched_path)
+        write_log(reference_result(**spec()), reference_path)
+        write_log(
+            Campaign(
+                workers=2, chunk_size=7, backend=backend,
+                timeout=POOL_TIMEOUT, **spec(),
+            ).run(),
+            batched_path,
+        )
         assert batched_path.read_bytes() == reference_path.read_bytes()
 
     def test_fallback_heavy_campaign_matches_reference(self, tmp_path):
-        def run(**mode):
-            return Campaign(
+        def spec():
+            return dict(
                 kernel=Clamr(n=16, steps=4), device=xeonphi(), n_faulty=12,
-                seed=7, timeout=POOL_TIMEOUT, **mode,
-            ).run()
+                seed=7,
+            )
 
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_log(run(), a)
-        write_log(run(fast_path=True, batch=True), b)
+        write_log(reference_result(**spec()), a)
+        write_log(Campaign(timeout=POOL_TIMEOUT, **spec()).run(), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_chunked_campaign_covers_exact_half_open_range(self):
         # ``count`` + ``start`` select the half-open range
         # [start, start + count) — no off-by-one at either boundary,
         # regardless of how the indices are chunked.
-        executor = CampaignExecutor(
-            backend="serial", chunk_size=4, fast_path=True, batch=True,
-        )
+        executor = CampaignExecutor(backend="serial", chunk_size=4)
         records = executor.run(
             Dgemm(n=16), k40(), seed=3, count=23, start=5,
         )
@@ -261,26 +271,23 @@ class TestResume:
         holder = {}
 
         def draining_runner(kernel, device, seed, threshold_pct, indices,
-                            instrument=False, fast_path=False, batch=False):
+                            instrument=False):
             result = _run_chunk(
                 kernel, device, seed, threshold_pct, indices, instrument,
-                fast_path, batch,
             )
             holder["scheduler"].request_drain()
             return result
 
         scheduler = CampaignScheduler(
-            store, backend="serial", chunk_size=3, fast_path=True,
-            batch=True, chunk_runner=draining_runner,
+            store, backend="serial", chunk_size=3,
+            chunk_runner=draining_runner,
         )
         holder["scheduler"] = scheduler
         run_id = scheduler.submit(CampaignSpec(**self.SPEC))
         (outcome,) = scheduler.run()
         assert outcome.status == "interrupted"
         assert len(store.load(run_id).rows) == 3  # one durable chunk
-        resumed = resume_run(
-            store, run_id, backend="serial", fast_path=True, batch=True,
-        )
+        resumed = resume_run(store, run_id, backend="serial")
         assert resumed.resumed == 3
         reference = execute_spec(
             CampaignStore(tmp_path / "ref"), CampaignSpec(**self.SPEC),
@@ -293,12 +300,10 @@ class TestResume:
 
 
 class TestGoldenFixtures:
-    """The recorded golden campaigns reproduce with REPRO_BATCH=1."""
+    """The recorded golden campaigns reproduce on the production path."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-    def test_fixture_reproduced(self, name, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
+    def test_fixture_reproduced(self, name):
         config = GOLDEN_CASES[name]
         golden = load_fixture(name)
         result = Campaign(
@@ -310,33 +315,6 @@ class TestGoldenFixtures:
         ).run()
         assert outcome_rows(result.records) == golden["outcomes"]
         assert summary_payload(result) == golden["summary"]
-
-
-class TestEnvironmentDefault:
-    """REPRO_BATCH resolves exactly like the other REPRO_* switches."""
-
-    @pytest.mark.parametrize(
-        "value,expected",
-        [("", False), ("1", True), ("true", True), ("ON", True),
-         ("0", False), ("no", False), ("off", False)],
-    )
-    def test_parse(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert default_batch() is expected
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert default_batch() is False
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "maybe")
-        with pytest.raises(ValueError):
-            default_batch()
-
-    def test_env_reaches_the_executor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert CampaignExecutor().resolved_batch() is True
-        assert CampaignExecutor(batch=False).resolved_batch() is False
 
 
 class PartialThenFailRunner:
@@ -351,18 +329,16 @@ class PartialThenFailRunner:
         self.tripped = False
 
     def __call__(self, kernel, device, seed, threshold_pct, indices,
-                 instrument=False, fast_path=False, batch=False):
+                 instrument=False):
         if not self.tripped and 0 in indices:
             self.tripped = True
             _run_chunk(
                 kernel, device, seed, threshold_pct,
-                indices[: max(1, len(indices) // 2)],
-                instrument, fast_path, batch,
+                indices[: max(1, len(indices) // 2)], instrument,
             )
             raise ChunkWorkerError(indices[0], "died after partial progress")
         return _run_chunk(
             kernel, device, seed, threshold_pct, indices, instrument,
-            fast_path, batch,
         )
 
 
@@ -384,7 +360,7 @@ class TestCounterFoldOnRetry:
         store = CampaignStore(tmp_path / name)
         kwargs = {"chunk_runner": chunk_runner} if chunk_runner else {}
         scheduler = CampaignScheduler(
-            store, backend="serial", chunk_size=4, fast_path=True,
+            store, backend="serial", chunk_size=4,
             retry=RetryPolicy(max_retries=3, base_delay=0.001, jitter=0.0),
             **kwargs,
         )
@@ -408,22 +384,11 @@ class TestCounterFoldOnRetry:
             totals[name] = metric.total() if metric is not None else 0.0
         return totals
 
-    @pytest.mark.parametrize("batch", (False, True))
-    def test_retried_chunk_counts_exactly_once(self, tmp_path, batch):
-        clean, clean_registry = self._run(tmp_path, f"clean{batch}")
+    def test_retried_chunk_counts_exactly_once(self, tmp_path):
+        clean, clean_registry = self._run(tmp_path, "clean")
         runner = PartialThenFailRunner()
-
-        def runner_with_mode(*args, **kwargs):
-            # Pin the execution strategy under test for both attempts.
-            args = list(args)
-            if len(args) >= 8:
-                args[7] = batch
-            else:
-                kwargs["batch"] = batch
-            return runner(*args, **kwargs)
-
         flaky, flaky_registry = self._run(
-            tmp_path, f"flaky{batch}", chunk_runner=runner_with_mode
+            tmp_path, "flaky", chunk_runner=runner
         )
         assert runner.tripped  # the failure injection actually fired
         assert flaky.retries == 1
@@ -507,7 +472,6 @@ class TestSharedGolden:
         kernel = HotSpot(n=32, iterations=24)
         reference = Injector(
             kernel=HotSpot(n=32, iterations=24), device=k40(), seed=5,
-            fast_path=True,
         ).inject_many(16)
         export = SharedGoldenExport()
         assert export.add_kernel(kernel)
@@ -518,7 +482,7 @@ class TestSharedGolden:
             adopted = fresh.golden()
             assert "chain" in adopted.aux  # the fast path's state chain
             got = Injector(
-                kernel=fresh, device=k40(), seed=5, fast_path=True,
+                kernel=fresh, device=k40(), seed=5,
             ).inject_batch(range(16))
             assert _rows(got) == _rows(reference)
         finally:
@@ -529,7 +493,6 @@ class TestSharedGolden:
         kernel = Clamr(n=16, steps=8)
         reference = Injector(
             kernel=Clamr(n=16, steps=8), device=xeonphi(), seed=5,
-            fast_path=True,
         ).inject_many(16)
         export = SharedGoldenExport()
         assert export.add_kernel(kernel)
@@ -542,7 +505,7 @@ class TestSharedGolden:
             # adopting side replays windows without rebuilding it.
             assert "fastpath" in adopted.aux
             got = Injector(
-                kernel=fresh, device=xeonphi(), seed=5, fast_path=True,
+                kernel=fresh, device=xeonphi(), seed=5,
             ).inject_batch(range(16))
             assert _rows(got) == _rows(reference)
         finally:
@@ -555,8 +518,7 @@ class TestSharedGolden:
         monkeypatch.setenv("REPRO_TEST_GOLDEN_SENTINEL", str(tmp_path))
         clear_golden_cache()
         executor = CampaignExecutor(
-            backend="process", workers=2, chunk_size=8, fast_path=True,
-            batch=True, timeout=POOL_TIMEOUT,
+            backend="process", workers=2, chunk_size=8, timeout=POOL_TIMEOUT,
         )
         records = executor.run(
             SentinelDgemm(n=48), k40(), seed=11, count=32

@@ -1,20 +1,20 @@
-"""Delta-replay differential suite: fast path ≡ full re-execution, bit for bit.
+"""Delta-replay differential suite: production ≡ full re-execution, bit for bit.
 
-The fast path (``Kernel.run_delta`` + sparse diffing, docs/performance.md)
-is only allowed to exist because it is *exactly* the reference path in
-fewer FLOPs.  This suite pins that contract at every level:
+The production path (``Kernel.run_delta_batch`` + sparse diffing,
+docs/performance.md) is only allowed to exist because it is *exactly*
+full re-execution (``Kernel.run``) in fewer FLOPs.  This suite pins that
+contract at every level:
 
 * **site level** — for every kernel × every ``fault_sites()`` entry, the
   materialised sparse delta equals the dense faulty output byte for byte,
-  crashes raise the same error, and the sparse observation reproduces the
+  crashes carry the same error, and the sparse observation reproduces the
   dense one's indices/values/locality bitwise;
-* **injector level** — full record streams (serialised to hex-float rows,
-  the ``tests/golden/`` idiom) are equal with the switch on and off;
-* **campaign level** — serial/thread/process pooled runs with the fast
-  path on write byte-identical JSONL logs to the reference serial run
-  with it off;
+* **injector level** — full record streams (serialised to rows, the
+  ``tests/golden/`` idiom) equal :meth:`Injector.inject_reference`'s;
+* **campaign level** — serial/thread/process pooled runs write JSONL logs
+  byte-identical to the full re-execution reference;
 * **fixture level** — the recorded ``tests/golden/`` outcome sequences
-  and hex-exact summary statistics are reproduced with the fast path on;
+  and hex-exact summary statistics are reproduced by the reference path;
 * **accounting** — hit/fallback counters land in the instance and the
   metrics registry, and never double-count.
 
@@ -22,13 +22,14 @@ A divergence anywhere here means the closed-form delta arithmetic drifted
 from the reference kernels — exactly what this suite exists to catch.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import observability as obs
 from repro.arch import ResourceKind, k40, xeonphi
 from repro.beam import Campaign, write_log
-from repro.beam.executor import default_fast_path
 from repro.beam.logs import record_to_row
 from repro.faults import Injector
 from repro.kernels import Clamr, Dgemm, HotSpot, LavaMD
@@ -89,6 +90,28 @@ def _fault_for(kernel, device, site, trial: int):
     )
 
 
+def _replay(kernel, fault):
+    """One fault through ``run_delta_batch``: ``(sparse, crash)``."""
+    (slot,) = kernel.run_delta_batch([fault])
+    if isinstance(slot, KernelCrashError):
+        return None, slot
+    return slot, None
+
+
+def reference_result(**campaign_kwargs):
+    """A serial campaign's result with every record from full re-execution.
+
+    Fluence and cross-section do not depend on the records, so the log
+    this writes is what a full re-execution campaign would have written.
+    """
+    campaign = Campaign(backend="serial", **campaign_kwargs)
+    result = campaign.run()
+    return dataclasses.replace(
+        result,
+        records=campaign.injector.inject_reference(range(campaign.n_faulty)),
+    )
+
+
 def _observation_bytes(observation) -> tuple:
     """A bit-exact projection of an ErrorObservation."""
     return (
@@ -103,7 +126,7 @@ def _observation_bytes(observation) -> tuple:
 
 
 class TestSiteDeltas:
-    """run_delta ≡ run, per kernel × fault site, bitwise."""
+    """run_delta_batch ≡ run, per kernel × fault site, bitwise."""
 
     @pytest.mark.parametrize("kernel_name,site_name", _site_params())
     def test_delta_matches_full_execution(self, kernel_name, site_name):
@@ -116,12 +139,8 @@ class TestSiteDeltas:
         for trial in range(TRIALS_PER_SITE):
             fault = _fault_for(kernel, device, site, trial)
 
-            sparse_crash = dense_crash = None
-            sparse = None
-            try:
-                sparse = kernel.run_delta(fault)
-            except KernelCrashError as err:
-                sparse_crash = err
+            dense_crash = None
+            sparse, sparse_crash = _replay(kernel, fault)
             try:
                 dense = kernel.run(fault).output
             except KernelCrashError as err:
@@ -156,9 +175,8 @@ class TestSiteDeltas:
         device = _device_for(kernel_name)
         for site in kernel.fault_sites():
             fault = _fault_for(kernel, device, site, 0)
-            try:
-                sparse = kernel.run_delta(fault)
-            except KernelCrashError:
+            sparse, crash = _replay(kernel, fault)
+            if crash is not None:
                 continue  # crash decided sparse-side: still a hit
             assert sparse is not None, f"{kernel_name}/{site.name} fell back"
 
@@ -199,7 +217,7 @@ class TestClamrDtInvariance:
         kernel = Clamr(n=16, steps=8)
         golden = kernel.golden().output
         fault = self._fault(0.5)
-        sparse = kernel.run_delta(fault)
+        sparse, _ = _replay(kernel, fault)
         assert sparse is not None, "dt-invariant strike fell back"
         dense = kernel.run(fault).output
         assert sparse.materialize(golden).tobytes() == dense.tobytes()
@@ -210,7 +228,7 @@ class TestClamrDtInvariance:
         # the window replay is unsound there and must *declare* fallback
         # rather than return a plausible-but-wrong delta.
         kernel = Clamr(n=16, steps=8)
-        assert kernel.run_delta(self._fault(2.0**40)) is None
+        assert _replay(kernel, self._fault(2.0**40)) == (None, None)
 
     def test_natural_faults_mix_hits_and_fallbacks(self):
         # Under the paper's Xeon Phi flip models the default campaign
@@ -223,9 +241,8 @@ class TestClamrDtInvariance:
         for site in kernel.fault_sites():
             for trial in range(TRIALS_PER_SITE):
                 fault = _fault_for(kernel, device, site, trial)
-                try:
-                    sparse = kernel.run_delta(fault)
-                except KernelCrashError:
+                sparse, crash = _replay(kernel, fault)
+                if crash is not None:
                     continue
                 if sparse is None:
                     fallbacks += 1
@@ -255,7 +272,7 @@ class TestHotSpotConeCap:
             seed=fault.seed, extent=fault.extent, sharing=fault.sharing,
         )
         golden = kernel.golden().output
-        sparse = kernel.run_delta(fault)
+        sparse, _ = _replay(kernel, fault)
         assert sparse is not None, "adaptive cone cap regressed to fallback"
         dense = kernel.run(fault).output
         assert sparse.materialize(golden).tobytes() == dense.tobytes()
@@ -281,11 +298,11 @@ class TestInjectorRecords:
         count, seed = 40, 29
         reference = Injector(
             kernel=KERNEL_FACTORIES[kernel_name](), device=make_device(),
-            seed=seed, fast_path=False,
-        ).inject_many(count)
+            seed=seed,
+        ).inject_reference(range(count))
         fast = Injector(
             kernel=KERNEL_FACTORIES[kernel_name](), device=make_device(),
-            seed=seed, fast_path=True,
+            seed=seed,
         ).inject_many(count)
         assert [record_to_row(r) for r in fast] == [
             record_to_row(r) for r in reference
@@ -293,8 +310,7 @@ class TestInjectorRecords:
 
     def test_counters_cover_every_kernel_execution(self):
         injector = Injector(
-            kernel=KERNEL_FACTORIES["hotspot"](), device=k40(),
-            seed=3, fast_path=True,
+            kernel=KERNEL_FACTORIES["hotspot"](), device=k40(), seed=3,
         )
         records = injector.inject_many(40)
         attempts = injector.fastpath_hits + injector.fastpath_fallbacks
@@ -309,116 +325,90 @@ class TestInjectorRecords:
         injector = Injector(
             kernel=KERNEL_FACTORIES["dgemm"](), device=k40(), seed=3,
         )
-        injector.inject_many(10)
+        injector.inject_reference(range(10))
         assert injector.fastpath_hits == 0
         assert injector.fastpath_fallbacks == 0
 
 
 class TestCampaignBackends:
-    """Pooled fast-path campaigns write byte-identical logs."""
+    """Pooled campaigns write logs byte-identical to full re-execution."""
 
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_log_bytes_match_reference(self, backend, tmp_path):
-        def run(fast_path, backend):
-            return Campaign(
-                kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11,
-                workers=2, chunk_size=7, backend=backend,
-                timeout=POOL_TIMEOUT, fast_path=fast_path,
-            ).run()
-
+        spec = dict(kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11)
         reference_path = tmp_path / "reference.jsonl"
-        fast_path_log = tmp_path / f"fast_{backend}.jsonl"
-        write_log(run(False, "serial"), reference_path)
-        write_log(run(True, backend), fast_path_log)
-        assert fast_path_log.read_bytes() == reference_path.read_bytes()
+        production_path = tmp_path / f"production_{backend}.jsonl"
+        write_log(reference_result(**spec), reference_path)
+        write_log(
+            Campaign(
+                workers=2, chunk_size=7, backend=backend,
+                timeout=POOL_TIMEOUT, **spec,
+            ).run(),
+            production_path,
+        )
+        assert production_path.read_bytes() == reference_path.read_bytes()
 
     def test_fallback_heavy_campaign_matches_reference(self, tmp_path):
         # CLAMR mixes dt-invariant window hits with dt-winning fallbacks;
-        # whichever side each strike lands on, the switch must stay
-        # invisible in the log bytes.
-        def run(fast_path):
-            return Campaign(
+        # whichever side each strike lands on must stay invisible in the
+        # log bytes.
+        def spec():
+            return dict(
                 kernel=Clamr(n=16, steps=4), device=xeonphi(), n_faulty=12,
-                seed=7, timeout=POOL_TIMEOUT, fast_path=fast_path,
-            ).run()
+                seed=7,
+            )
 
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_log(run(False), a)
-        write_log(run(True), b)
+        write_log(reference_result(**spec()), a)
+        write_log(Campaign(timeout=POOL_TIMEOUT, **spec()).run(), b)
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_clamr_log_bytes_match_reference(self, backend, tmp_path):
         # The CLAMR window replay rides the same pooled machinery as the
-        # closed-form kernels: every backend's fast-path log must equal
-        # the reference serial run with the switch off, byte for byte.
-        def run(fast_path, backend):
-            return Campaign(
+        # closed-form kernels: every backend's log must equal the full
+        # re-execution reference, byte for byte.
+        def spec():
+            return dict(
                 kernel=Clamr(n=16, steps=8), device=xeonphi(), n_faulty=18,
-                seed=11, workers=2, chunk_size=5, backend=backend,
-                timeout=POOL_TIMEOUT, fast_path=fast_path,
-            ).run()
+                seed=11,
+            )
 
         reference_path = tmp_path / "reference.jsonl"
-        fast_path_log = tmp_path / f"fast_{backend}.jsonl"
-        write_log(run(False, "serial"), reference_path)
-        write_log(run(True, backend), fast_path_log)
-        assert fast_path_log.read_bytes() == reference_path.read_bytes()
+        production_path = tmp_path / f"production_{backend}.jsonl"
+        write_log(reference_result(**spec()), reference_path)
+        write_log(
+            Campaign(
+                workers=2, chunk_size=5, backend=backend,
+                timeout=POOL_TIMEOUT, **spec(),
+            ).run(),
+            production_path,
+        )
+        assert production_path.read_bytes() == reference_path.read_bytes()
 
     def test_registry_counters_exported(self):
         registry = MetricsRegistry()
         with obs.observe(metrics=registry):
             Campaign(
                 kernel=Dgemm(n=48), device=k40(), n_faulty=24, seed=11,
-                fast_path=True,
             ).run()
         text = registry.dumps("prometheus")
         assert "repro_fastpath_hits_total" in text
 
 
 class TestGoldenFixtures:
-    """The recorded golden campaigns reproduce with the fast path on."""
+    """Full re-execution reproduces the recorded golden campaigns."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_fixture_reproduced(self, name):
         config = GOLDEN_CASES[name]
         golden = load_fixture(name)
-        result = Campaign(
+        result = reference_result(
             kernel=config["make_kernel"](),
             device=config["make_device"](),
             n_faulty=config["n_faulty"],
             seed=config["seed"],
-            timeout=POOL_TIMEOUT,
-            fast_path=True,
-        ).run()
+        )
         assert outcome_rows(result.records) == golden["outcomes"]
         assert summary_payload(result) == golden["summary"]
 
-
-class TestEnvironmentDefault:
-    """REPRO_FASTPATH resolves exactly like the other REPRO_* switches."""
-
-    @pytest.mark.parametrize(
-        "value,expected",
-        [("", False), ("1", True), ("true", True), ("ON", True),
-         ("0", False), ("no", False), ("off", False)],
-    )
-    def test_parse(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_FASTPATH", value)
-        assert default_fast_path() is expected
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        assert default_fast_path() is False
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "maybe")
-        with pytest.raises(ValueError):
-            default_fast_path()
-
-    def test_env_reaches_the_injector(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        from repro.beam.executor import CampaignExecutor
-
-        assert CampaignExecutor().resolved_fast_path() is True
-        assert CampaignExecutor(fast_path=False).resolved_fast_path() is False

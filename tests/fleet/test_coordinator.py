@@ -22,7 +22,13 @@ import pytest
 
 from repro.beam.executor import _run_chunk
 from repro.beam.logs import log_lines, record_to_row
-from repro.fleet import FleetCoordinator, PushError, StaleLeaseError
+from repro.fleet import (
+    AgentConfig,
+    FleetAgent,
+    FleetCoordinator,
+    PushError,
+    StaleLeaseError,
+)
 from repro.observability import MetricsRegistry
 from repro.sampling import tally_of
 from repro.store import CampaignSpec, CampaignStore, execute_spec
@@ -65,7 +71,6 @@ def execute_lease(lease):
     result = _run_chunk(
         campaign.kernel, campaign.device, spec.seed,
         campaign.threshold_pct, list(lease["indices"]),
-        False, bool(lease.get("fast_path")), bool(lease.get("batch")),
     )
     return {
         "worker": lease["worker"],
@@ -104,7 +109,7 @@ def reference_lines(tmp_path, spec_dict, sampling=None):
         CampaignStore(tmp_path / "ref-store"),
         CampaignSpec.from_dict(dict(spec_dict)),
         workers=2, chunk_size=2, timeout=None, backend="serial",
-        fast_path=None, batch=None, sampling=sampling, reuse=True,
+        sampling=sampling, reuse=True,
     )
     return log_lines(outcome.result)
 
@@ -120,6 +125,50 @@ def test_fleet_run_byte_identical_to_pool_run(tmp_path):
     drain_fleet(coordinator)
     job_result = coordinator._jobs[admission.run_id].result
     assert coordinator.job_status(admission.run_id) == "complete"
+    assert log_lines(job_result) == reference_lines(tmp_path, TINY_SPEC)
+
+
+class OlderCoordinatorClient:
+    """An in-process client for a coordinator that still advertises the
+    retired ``fast_path``/``batch`` strategy switches in its leases."""
+
+    def __init__(self, coordinator):
+        self.coordinator = coordinator
+
+    def request_lease(self, worker):
+        lease = self.coordinator.request_lease(worker)
+        if lease is not None:
+            lease.update(fast_path=False, batch=False)
+        return lease
+
+    def lease_heartbeat(self, lease_id, worker):
+        return self.coordinator.heartbeat(lease_id, worker)
+
+    def push_results(self, lease_id, payload):
+        return self.coordinator.push_results(
+            lease_id, payload, worker=payload["worker"]
+        )
+
+
+def test_agent_ignores_retired_strategy_keys_in_a_lease(tmp_path):
+    coordinator = make_coordinator(tmp_path, Clock())
+    admission = coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
+    agent = FleetAgent(
+        AgentConfig(name="w-old", idle_exit=0.0),
+        client=OlderCoordinatorClient(coordinator), sleep=lambda _: None,
+    )
+    stats = agent.run()
+    assert stats.chunks >= 2 and stats.leases_lost == 0
+    assert coordinator.job_status(admission.run_id) == "complete"
+    # The committed rows are the local pool run's, byte for byte.
+    local = CampaignStore(tmp_path / "local")
+    execute_spec(
+        local, CampaignSpec.from_dict(dict(TINY_SPEC)), backend="serial",
+    )
+    assert json.dumps(coordinator.store.load(admission.run_id).rows) == (
+        json.dumps(local.load(admission.run_id).rows)
+    )
+    job_result = coordinator._jobs[admission.run_id].result
     assert log_lines(job_result) == reference_lines(tmp_path, TINY_SPEC)
 
 
@@ -150,7 +199,7 @@ def test_cached_admission_skips_the_fleet(tmp_path):
     execute_spec(
         coordinator.store, CampaignSpec.from_dict(dict(TINY_SPEC)),
         workers=2, chunk_size=2, timeout=None, backend="serial",
-        fast_path=None, batch=None, sampling=None, reuse=True,
+        sampling=None, reuse=True,
     )
     admission = coordinator.admit(CampaignSpec.from_dict(dict(TINY_SPEC)))
     assert admission.disposition == "cached"
