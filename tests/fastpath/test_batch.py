@@ -354,9 +354,10 @@ class TestCounterFoldOnRetry:
          "Fast-path executions that fell back to full re-execution"),
     )
 
-    def _run(self, tmp_path, name, chunk_runner=None):
+    def _run(self, tmp_path, name, chunk_runner=None, traced=False):
         clear_golden_cache()
         registry = MetricsRegistry()
+        tracer = obs.Tracer(obs.RingBufferSink()) if traced else None
         store = CampaignStore(tmp_path / name)
         kwargs = {"chunk_runner": chunk_runner} if chunk_runner else {}
         scheduler = CampaignScheduler(
@@ -370,7 +371,7 @@ class TestCounterFoldOnRetry:
                 n_faulty=12,
             )
         )
-        with obs.observe(metrics=registry):
+        with obs.observe(metrics=registry, tracer=tracer):
             (outcome,) = scheduler.run()
         assert outcome.status == "complete"
         return outcome, registry
@@ -384,11 +385,16 @@ class TestCounterFoldOnRetry:
             totals[name] = metric.total() if metric is not None else 0.0
         return totals
 
-    def test_retried_chunk_counts_exactly_once(self, tmp_path):
-        clean, clean_registry = self._run(tmp_path, "clean")
+    @pytest.mark.parametrize("traced", (False, True))
+    def test_retried_chunk_counts_exactly_once(self, tmp_path, traced):
+        # With a tracer active the instrumented chunks also emit one
+        # execution span per record; the counter fold must not change.
+        clean, clean_registry = self._run(
+            tmp_path, f"clean{traced}", traced=traced
+        )
         runner = PartialThenFailRunner()
         flaky, flaky_registry = self._run(
-            tmp_path, "flaky", chunk_runner=runner
+            tmp_path, f"flaky{traced}", chunk_runner=runner, traced=traced
         )
         assert runner.tripped  # the failure injection actually fired
         assert flaky.retries == 1
