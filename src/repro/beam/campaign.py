@@ -258,8 +258,10 @@ class Campaign:
             threshold_pct=self.threshold_pct,
         )
 
-    def _note_campaign(self, mode: str, result: "CampaignResult", span) -> None:
-        """Post-run bookkeeping: span outcome attrs + campaign counter."""
+    def _note_campaign(
+        self, mode: str, result: "CampaignResult", span, sampled=None
+    ) -> None:
+        """Post-run bookkeeping: span outcome attrs + campaign counters."""
         if span is not None:
             span.set(
                 outcomes={
@@ -268,13 +270,45 @@ class Campaign:
                 struck=len(result.records),
                 fluence=result.fluence,
             )
-        metrics = obs_runtime.get_metrics()
-        if metrics is not None:
+        self.count_completion(mode, obs_runtime.get_metrics(), sampled=sampled)
+
+    def count_completion(self, mode: str, metrics, *, sampled=None) -> None:
+        """Count one completed campaign into ``metrics`` (``None`` = off).
+
+        Adds one to ``repro_campaigns_total{kernel,device,mode}``.  An
+        adaptive run passes ``sampled=(rounds, strikes, stop_reason)`` —
+        the rounds and strikes this process executed — for the
+        ``repro_sampling_*`` counters.  Shared by the in-memory runs and
+        the durable job lifecycle (:func:`repro.scheduler.jobs.seal_job`).
+        """
+        if metrics is None:
+            return
+        labels = {"kernel": self.kernel.name, "device": self.device.name}
+        metrics.counter(
+            "repro_campaigns_total",
+            "Campaigns completed, by mode",
+            ("kernel", "device", "mode"),
+        ).inc(mode=mode, **labels)
+        if sampled is None:
+            return
+        rounds, strikes, stop_reason = sampled
+        if rounds:
             metrics.counter(
-                "repro_campaigns_total",
-                "Campaigns completed, by mode",
-                ("kernel", "device", "mode"),
-            ).inc(kernel=self.kernel.name, device=self.device.name, mode=mode)
+                "repro_sampling_rounds_total",
+                "Adaptive sampling rounds executed",
+                ("kernel", "device"),
+            ).inc(rounds, **labels)
+        if strikes:
+            metrics.counter(
+                "repro_sampling_strikes_total",
+                "Strikes executed under adaptive sampling",
+                ("kernel", "device"),
+            ).inc(strikes, **labels)
+        metrics.counter(
+            "repro_sampling_stops_total",
+            "Adaptive campaigns stopped, by stopping reason",
+            ("reason",),
+        ).inc(reason=stop_reason or "none")
 
     def result_from_records(
         self, records: "list[ExecutionRecord]", *,
@@ -284,8 +318,8 @@ class Campaign:
         """Assemble the accelerated-mode :class:`CampaignResult`.
 
         The single source of the campaign's fluence arithmetic — shared by
-        :meth:`run`, the resume path (:mod:`repro.store.runner`), the
-        multi-campaign scheduler and the adaptive sampler, so a run
+        :meth:`run`, the durable job lifecycle
+        (:mod:`repro.scheduler.jobs`) and the adaptive sampler, so a run
         stitched back together from a journal reports bit-identical
         fluence, FIT and summaries.
 
@@ -321,9 +355,6 @@ class Campaign:
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
         received_fluence: "float | None" = None,
-        skip_indices: "set | None" = None,
-        prior_records: "list[ExecutionRecord] | None" = None,
-        on_chunk=None,
     ) -> CampaignResult:
         """Accelerated mode: every execution struck once, fluence-weighted.
 
@@ -335,18 +366,8 @@ class Campaign:
                 derated board in a :class:`~repro.beam.parallel.BeamSession`).
                 Defaults to the fluence the struck count statistically
                 represents, ``n_faulty / (sigma * STRIKES_PER_FLUENCE_AU)``.
-            skip_indices: execution indices to *not* re-simulate (already
-                durable in a journal); the resume path's restart point.
-            prior_records: the records behind ``skip_indices``, merged into
-                the result so a resumed run returns the full campaign.
-            on_chunk: parent-side durability hook, called as each chunk of
-                records completes (see
-                :meth:`repro.beam.executor.CampaignExecutor.run`).
         """
-        prior = list(prior_records or [])
         with self._campaign_span("accelerated", self.n_faulty) as span:
-            if span is not None and skip_indices:
-                span.set(resumed_records=len(prior), skipped=len(skip_indices))
             records = self._executor(workers, chunk_size).run(
                 self.kernel,
                 self.device,
@@ -354,13 +375,7 @@ class Campaign:
                 threshold_pct=self.threshold_pct,
                 count=self.n_faulty,
                 label=self.label,
-                skip_indices=skip_indices,
-                on_chunk=on_chunk,
             )
-            if prior:
-                records = sorted(
-                    prior + records, key=lambda record: record.index
-                )
             result = self.result_from_records(
                 records, received_fluence=received_fluence
             )
@@ -373,10 +388,6 @@ class Campaign:
         *,
         workers: "int | None" = None,
         chunk_size: "int | None" = None,
-        driver=None,
-        resume_missing=None,
-        on_plan=None,
-        on_records=None,
     ) -> CampaignResult:
         """Adaptive importance-sampled mode: stop when the CI target is met.
 
@@ -392,120 +403,65 @@ class Campaign:
         The result's ``records``/``fluence``/``n_executions`` cover the
         *executed* strikes (so plain ``fit_total()`` reflects the sampled
         subset, which over-weights data-reaching classes); the calibrated
-        pooled estimate lives in ``result.aux["sampling"]``.
+        pooled estimate lives in ``result.aux["sampling"]``.  The durable
+        (journaled, resumable) form of this loop is
+        :func:`repro.store.execute_spec` with ``sampling=``.
 
         Args:
             policy: the :class:`~repro.sampling.SamplingPolicy` (default
                 targets a 10% relative CI on the SDC FIT).
             workers: override the campaign's worker count for this run.
             chunk_size: override the campaign's chunk size for this run.
-            driver: a pre-built (possibly journal-replayed)
-                :class:`~repro.sampling.AdaptiveCampaign`; the store
-                runner's resume hook.  ``policy`` is ignored when given.
-            resume_missing: indices of the driver's in-progress round not
-                yet executed (from
-                :meth:`~repro.sampling.AdaptiveCampaign.replay`).
-            on_plan: durability hook, called with each
-                :class:`~repro.sampling.RoundPlan` *before* its indices
-                execute.
-            on_records: durability hook, called with each round's newly
-                executed records (sorted by index) once the round lands.
         """
         from repro.sampling.adaptive import AdaptiveCampaign
 
-        if driver is None:
-            if resume_missing:
-                raise ValueError("resume_missing requires a replayed driver")
-            driver = AdaptiveCampaign(self, policy)
+        driver = AdaptiveCampaign(self, policy)
         executor = self._executor(workers, chunk_size)
         tracer = obs_runtime.get_tracer()
-        executed_before = driver.executed
-        rounds_run = 0
-
-        def run_round(indices, number: int) -> list:
-            span = (
-                tracer.span(
-                    "sampling",
-                    f"{self.label}/round{number}",
-                    round=number,
-                    strikes=len(indices),
-                    executed=driver.executed,
-                    kernel=self.kernel.name,
-                    device=self.device.name,
-                )
-                if tracer is not None
-                else contextlib.nullcontext()
-            )
-            with span:
-                records = executor.run(
-                    self.kernel,
-                    self.device,
-                    seed=self.seed,
-                    threshold_pct=self.threshold_pct,
-                    indices=list(indices),
-                    label=self.label,
-                )
-            if on_records is not None and records:
-                on_records(records)
-            return records
-
         with self._campaign_span("adaptive", self.n_faulty) as span:
-            if resume_missing:
-                # Finish the round the previous process died inside.
-                number = driver.current_round.number
-                driver.ingest(run_round(sorted(resume_missing), number))
-                rounds_run += 1
             while True:
                 plan = driver.next_round()
                 if plan is None:
                     break
-                if on_plan is not None:
-                    on_plan(plan)
-                driver.ingest(run_round(plan.indices, plan.number))
-                rounds_run += 1
-            estimate = driver.estimate()
+                round_span = (
+                    tracer.span(
+                        "sampling",
+                        f"{self.label}/round{plan.number}",
+                        round=plan.number,
+                        strikes=len(plan.indices),
+                        executed=driver.executed,
+                        kernel=self.kernel.name,
+                        device=self.device.name,
+                    )
+                    if tracer is not None
+                    else contextlib.nullcontext()
+                )
+                with round_span:
+                    driver.ingest(executor.run(
+                        self.kernel,
+                        self.device,
+                        seed=self.seed,
+                        threshold_pct=self.threshold_pct,
+                        indices=list(plan.indices),
+                        label=self.label,
+                    ))
             records = driver.records()
             result = self.result_from_records(
                 records, n_executions=len(records)
             )
-            result.aux["sampling"] = estimate.to_dict()
+            result.aux["sampling"] = driver.estimate().to_dict()
             if span is not None:
                 span.set(
                     sampling_rounds=len(driver.rounds),
                     sampling_stop=driver.stop_reason,
                     sampling_pool=driver.pool,
                 )
-            self._note_campaign("adaptive", result, span)
-            self._note_sampling(
-                rounds_run, driver.executed - executed_before, driver.stop_reason
+            self._note_campaign(
+                "adaptive", result, span,
+                sampled=(len(driver.rounds), driver.executed,
+                         driver.stop_reason),
             )
         return result
-
-    def _note_sampling(
-        self, rounds: int, strikes: int, stop_reason: "str | None"
-    ) -> None:
-        """Fold one adaptive run into the ``repro_sampling_*`` metrics."""
-        metrics = obs_runtime.get_metrics()
-        if metrics is None:
-            return
-        labels = {"kernel": self.kernel.name, "device": self.device.name}
-        if rounds:
-            metrics.counter(
-                "repro_sampling_rounds_total",
-                "Adaptive sampling rounds executed",
-                ("kernel", "device"),
-            ).inc(rounds, **labels)
-        if strikes:
-            metrics.counter(
-                "repro_sampling_strikes_total",
-                "Strikes executed under adaptive sampling",
-                ("kernel", "device"),
-            ).inc(strikes, **labels)
-        metrics.counter(
-            "repro_sampling_stops_total",
-            "Adaptive campaigns stopped, by stopping reason",
-            ("reason",),
-        ).inc(reason=stop_reason or "none")
 
     def run_natural(
         self,

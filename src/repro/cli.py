@@ -472,6 +472,7 @@ def cmd_queue(args) -> int:
 
 
 def cmd_resume(args) -> int:
+    from repro.beam.executor import CampaignExecutionError
     from repro.store import CampaignStore, JournalError, resume_run
 
     store = CampaignStore(args.store)
@@ -486,6 +487,9 @@ def cmd_resume(args) -> int:
         )
     except JournalError as err:
         return _input_error(str(err))
+    except CampaignExecutionError as err:
+        print(f"failed: {err}", file=sys.stderr)
+        return 1
     origin = "cache" if outcome.cached else f"{outcome.resumed} durable records"
     print(f"run {outcome.run_id} complete (resumed from {origin})")
     print()

@@ -562,7 +562,8 @@ class FleetCoordinator:
         if not driver_settled(job.driver):
             return False
         result, _ = seal_job(
-            job.journal, job.campaign, job.prior, job.records, job.driver
+            job.journal, job.campaign, job.prior, job.records, job.driver,
+            metrics=self._metrics,
         )
         job.result = result
         job.status = "complete"

@@ -28,7 +28,7 @@ from repro.scheduler.jobs import (
     seal_job,
 )
 from repro.scheduler.lease import NO_DEADLINE, ChunkLease
-from repro.scheduler.retry import RetryPolicy
+from repro.scheduler.retry import FAIL_FAST, RetryPolicy
 from repro.scheduler.scheduler import (
     CampaignScheduler,
     JobOutcome,
@@ -36,6 +36,7 @@ from repro.scheduler.scheduler import (
 )
 
 __all__ = [
+    "FAIL_FAST",
     "RetryPolicy",
     "CampaignScheduler",
     "JobOutcome",

@@ -12,13 +12,16 @@ must agree *exactly* on everything that happens around dispatch:
   round's chunks may execute, then split the round into chunks
   (:func:`plan_adaptive` / :func:`advance_adaptive`);
 * how a finished job seals — assemble the result from records, attach
-  the sampling estimate, write the close record, close the journal
-  (:func:`seal_job`).
+  the sampling estimate, write the close record, close the journal, and
+  count the campaign (``repro_campaigns_total`` and, for adaptive jobs,
+  the ``repro_sampling_*`` counters) (:func:`seal_job`).
 
 Keeping these in one place is what makes the fleet path byte-identical
 to the pool path: both sides journal the same rows in the same shapes,
 so a campaign finished by remote agents renders the same log, report
-and result as one finished by the local pool.
+and result as one finished by the local pool.  Every durable job runs
+this lifecycle: :func:`repro.store.execute_spec` and
+:func:`repro.store.resume_run` are one-job scheduler runs.
 
 The ``planner`` argument threaded through this module is any callable
 ``planner(indices) -> list_of_chunks``; callers typically bind it to
@@ -192,15 +195,17 @@ def driver_settled(driver) -> bool:
     return driver.current_round is None and driver.stop_reason is not None
 
 
-def seal_job(journal, campaign, prior, records, driver):
+def seal_job(journal, campaign, prior, records, driver, *, metrics=None):
     """Seal a job whose every chunk is durable: close record + result.
 
     Returns ``(result, sampling_dict_or_None)``.  The journal is closed;
     callers must not append to it afterwards.  Callers are responsible
     for checking :func:`driver_settled` (and their own chunk accounting)
-    first.
+    first.  ``records`` are the ones this process committed; with a
+    ``metrics`` registry the job is counted once, and an adaptive job's
+    rounds and strikes count only the work behind ``records``.
     """
-    sampling = None
+    sampling = sampled = None
     if driver is not None:
         all_records = driver.records()
         result = campaign.result_from_records(
@@ -208,6 +213,12 @@ def seal_job(journal, campaign, prior, records, driver):
         )
         sampling = driver.estimate().to_dict()
         result.aux["sampling"] = sampling
+        executed = {record.index for record in records}
+        rounds = sum(
+            1 for plan in driver.rounds
+            if not executed.isdisjoint(plan.indices)
+        )
+        sampled = (rounds, len(records), driver.stop_reason)
     else:
         all_records = sorted(
             list(prior) + list(records), key=lambda record: record.index
@@ -215,4 +226,8 @@ def seal_job(journal, campaign, prior, records, driver):
         result = campaign.result_from_records(all_records)
     finalise_journal(journal, result, sampling=sampling)
     journal.close()
+    campaign.count_completion(
+        "accelerated" if driver is None else "adaptive", metrics,
+        sampled=sampled,
+    )
     return result, sampling

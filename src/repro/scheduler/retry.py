@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy"]
+__all__ = ["FAIL_FAST", "RetryPolicy"]
 
 
 @dataclass(frozen=True)
@@ -71,3 +71,9 @@ class RetryPolicy:
             self.delay(attempt, rng)
             for attempt in range(1, self.max_retries + 1)
         ]
+
+
+#: No retries: the first chunk failure fails the job.  The policy of the
+#: single-spec entry points (:func:`repro.store.execute_spec`,
+#: :func:`repro.store.resume_run`), which raise the failure to the caller.
+FAIL_FAST = RetryPolicy(max_retries=0)

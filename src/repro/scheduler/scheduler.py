@@ -11,10 +11,18 @@ simulator-side analogue for *campaigns*:
   the job with the smallest ``dispatched / priority`` ratio (ties broken
   by submit order), so equal-priority campaigns interleave chunk-for-chunk
   and a priority-2 campaign gets twice the share of a priority-1 one.
-* **Durability per chunk.**  Every completed chunk is appended to the
-  job's store journal and fsync'd before the next dispatch decision —
-  the same one-commit-per-chunk contract as :func:`repro.store.runner.
-  execute_spec`, so anything the scheduler ran is resumable.
+* **Durability per chunk, in chunk order.**  Every completed chunk is
+  appended to the job's store journal and fsync'd as one batch, so
+  anything the scheduler ran is resumable.  A job's chunks are committed
+  in chunk order: one that finishes early waits until every chunk before
+  it is durable, so the journal lists records in index order on every
+  backend.  :func:`repro.store.execute_spec` and
+  :func:`repro.store.resume_run` are one-job runs of this scheduler.
+* **Backend choice.**  The pool backend and width come from
+  :meth:`~repro.beam.executor.CampaignExecutor.resolved_backend` over the
+  strikes queued at :meth:`CampaignScheduler.run`: one worker, a single
+  chunk or fewer than ``MIN_PARALLEL_STRIKES`` strikes run inline, with
+  no pool and no shared-memory golden export.
 * **Bounded retry with backoff.**  A chunk whose worker fails is
   re-dispatched up to :attr:`RetryPolicy.max_retries` times, waiting an
   exponentially growing, jittered delay between attempts; only then does
@@ -49,7 +57,6 @@ from repro.beam.executor import (
     default_timeout,
     emit_chunk_observability,
 )
-from repro.kernels.sharedmem import SharedGoldenExport
 from repro.observability import runtime as obs_runtime
 from repro.scheduler.jobs import (
     advance_adaptive,
@@ -145,9 +152,9 @@ class _Job:
         self._tokens: dict = {}         # chunk_no -> last fencing token
         self.next_chunk = 0
         self.dispatched = 0             # chunks submitted (incl. retries)
-        self.inflight = 0               # chunks currently in the pool
-        self.waiting = 0                # chunks parked in the retry heap
-        self.records = []               # records completed this session
+        self.records = []               # records committed this session
+        self.landed: dict = {}          # chunk_no -> records awaiting commit
+        self.next_commit = 0            # first chunk not yet committed
         self.retries = 0
         self.backoff: list = []         # delays waited, in order
         self.failed: "CampaignExecutionError | None" = None
@@ -200,10 +207,10 @@ class CampaignScheduler:
             dedup/resume lookups).
         workers: shared pool size (``None``/``0`` = auto).
         chunk_size: executions per dispatched chunk (``None`` = auto).
-        backend: ``"auto"``/``"process"``/``"thread"``/``"serial"``.
-            Unlike the single-campaign executor the scheduler never
-            downshifts small jobs to serial — interleaving *is* the point
-            — but ``"serial"`` runs chunks inline for deterministic tests.
+        backend: ``"auto"``/``"process"``/``"thread"``/``"serial"``;
+            resolved per :meth:`run` exactly as the executor resolves it
+            (``"serial"`` — or a run too small to pool — runs chunks
+            inline).
         timeout: wall-clock bound on one :meth:`run` (``None`` = the
             ``REPRO_POOL_TIMEOUT`` environment default).
         retry: the transient-failure policy (default
@@ -341,9 +348,6 @@ class CampaignScheduler:
         metrics = obs_runtime.get_metrics()
         progress = obs_runtime.get_progress()
         instrument = tracer is not None or metrics is not None
-        backend = self._resolve_backend()
-        workers = self._executor.resolved_workers()
-        slots = 1 if backend == "serial" else workers
         timeout = (
             self._executor.timeout
             if self._executor.timeout is not None
@@ -355,6 +359,13 @@ class CampaignScheduler:
         total = sum(
             sum(len(chunk) for chunk in job.chunks) for job in jobs
         )
+        workers = self._executor.resolved_workers()
+        backend = self._executor.resolved_backend(total, workers)
+        if backend != "serial":
+            workers = min(workers, sum(len(job.chunks) for job in jobs))
+            if workers <= 1:
+                backend = "serial"
+        slots = 1 if backend == "serial" else workers
         completed = 0
         queue_gauge = (
             metrics.gauge(
@@ -367,25 +378,11 @@ class CampaignScheduler:
 
         pool = None
         export = None
-        if backend != "serial" and any(job.has_work() for job in jobs):
-            if backend == "process":
-                # One export covers every queued campaign's kernel, so
-                # workers attach the golden state (best-effort) instead of
-                # re-executing it once per process per configuration.
-                try:
-                    export = SharedGoldenExport()
-                    seen: set = set()
-                    for job in jobs:
-                        key = job.campaign.kernel.golden_cache_key()
-                        if key is None or key in seen:
-                            continue
-                        seen.add(key)
-                        export.add_kernel(job.campaign.kernel)
-                except Exception:
-                    export = None
-                if export is not None and not len(export):
-                    export.close()
-                    export = None
+        if backend != "serial":
+            # One export covers every queued campaign's kernel.
+            export = CampaignExecutor._export_shared_golden(
+                backend, [job.campaign.kernel for job in jobs]
+            )
             pool = CampaignExecutor._make_pool(
                 backend, workers,
                 payload=export.payload if export is not None else None,
@@ -439,11 +436,11 @@ class CampaignScheduler:
                     if exc is not None:
                         if not isinstance(exc, Exception):
                             raise exc
-                        self._on_chunk_failure(
+                        self._chunk_failed(
                             task, exc, backend, tracer, metrics
                         )
                     else:
-                        completed += self._on_chunk_success(
+                        completed += self._chunk_succeeded(
                             task, future.result(), backend, tracer, metrics
                         )
                 if progress is not None and done:
@@ -486,19 +483,10 @@ class CampaignScheduler:
 
     # -- dispatch policy ----------------------------------------------------------
 
-    def _resolve_backend(self) -> str:
-        backend = self._executor.backend
-        if backend == "auto":
-            import os
-
-            return "process" if hasattr(os, "fork") else "thread"
-        return backend
-
     def _next_task(self, now: float) -> "_Task | None":
         """The next chunk to dispatch: due retries first, then fair share."""
         while self._retry_heap and self._retry_heap[0][0] <= now:
             _, _, task = heapq.heappop(self._retry_heap)
-            task.job.waiting -= 1
             if task.job.failed is not None:
                 continue
             task.job.dispatched += 1
@@ -520,7 +508,6 @@ class CampaignScheduler:
 
     def _submit_task(self, pool, task: _Task, instrument: bool) -> Future:
         job = task.job
-        job.inflight += 1
         args = (
             job.campaign.kernel,
             job.campaign.device,
@@ -552,21 +539,24 @@ class CampaignScheduler:
 
     # -- completion paths ---------------------------------------------------------
 
-    def _on_chunk_success(
+    def _chunk_succeeded(
         self, task: _Task, result, backend, tracer, metrics
     ) -> int:
         job = task.job
-        job.inflight -= 1
-        job.records.extend(result.records)
         emit_chunk_observability(
             tracer, metrics, job.campaign.kernel, job.campaign.device,
             backend, task.chunk_no, result,
             extra_attrs={"label": job.label, "run_id": job.run_id},
         )
-        journal_chunk_records(job.journal, result.records)
-        if job.driver is not None and result.records:
-            if job.driver.ingest(result.records):
-                self._advance_adaptive(job)
+        job.landed[task.chunk_no] = result.records
+        while job.next_commit in job.landed:
+            records = job.landed.pop(job.next_commit)
+            job.next_commit += 1
+            journal_chunk_records(job.journal, records)
+            job.records.extend(records)
+            if job.driver is not None and records:
+                if job.driver.ingest(records):
+                    self._advance_adaptive(job)
         self._maybe_finish(job, tracer, metrics)
         return len(result.records)
 
@@ -583,11 +573,10 @@ class CampaignScheduler:
             advance_adaptive(job.driver, job.journal, self._plan_job_chunks)
         )
 
-    def _on_chunk_failure(
+    def _chunk_failed(
         self, task: _Task, exc: Exception, backend, tracer, metrics
     ) -> None:
         job = task.job
-        job.inflight -= 1
         if job.failed is not None:
             return  # the job already surfaced another chunk's failure
         task.attempt += 1
@@ -597,7 +586,6 @@ class CampaignScheduler:
                 self._retry_heap,
                 (self._clock() + delay, next(self._retry_seq), task),
             )
-            job.waiting += 1
             job.retries += 1
             job.backoff.append(delay)
             if metrics is not None:
@@ -646,16 +634,13 @@ class CampaignScheduler:
         """Seal a job whose every chunk is durable: close record + span."""
         if job.status != "running" or job.failed is not None:
             return
-        if job.next_chunk < len(job.chunks) or job.inflight or job.waiting:
-            return
+        if job.next_commit < len(job.chunks):
+            return  # a chunk is undispatched, in flight, waiting or lost
         if not driver_settled(job.driver):
             return  # round outstanding, or drained before the stopping rule
-        n_records = (
-            len(job.driver.records()) if job.driver is not None
-            else len(job.prior) + len(job.records)
-        )
-        result, sampling = seal_job(
-            job.journal, job.campaign, job.prior, job.records, job.driver
+        result, _ = seal_job(
+            job.journal, job.campaign, job.prior, job.records, job.driver,
+            metrics=metrics,
         )
         job.result = result
         job.status = "complete"
@@ -667,7 +652,7 @@ class CampaignScheduler:
                 "priority": job.priority,
                 "retries": job.retries,
                 "resumed": len(job.prior),
-                "n_records": n_records,
+                "n_records": len(result.records),
                 "outcomes": counts,
             }
             if job.driver is not None:

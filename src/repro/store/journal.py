@@ -46,6 +46,7 @@ __all__ = [
     "JournalError",
     "JournalCorruptError",
     "Journal",
+    "read_header",
     "scan_journal",
 ]
 
@@ -197,6 +198,32 @@ def scan_journal(path: "str | Path") -> ScanResult:
         offset += line_bytes
         result.valid_bytes = offset
     return result
+
+
+def read_header(path: "str | Path") -> dict:
+    """A journal's ``open`` header, CRC-checked, without reading the rest.
+
+    For callers that need only the run's spec; :meth:`Journal.open` and
+    :func:`scan_journal` validate the whole file.
+    """
+    path = Path(path)
+    with path.open("rb") as fh:
+        raw = fh.readline().rstrip(b"\n")
+    try:
+        payload = json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        payload = None
+    crc_ok = None
+    if isinstance(payload, dict) and "crc" in payload:
+        crc_ok = _CRC_CHECKS.get(payload.get("journal_format_version"))
+    if (
+        crc_ok is None
+        or payload.get("kind") != "open"
+        or not crc_ok(raw, payload)
+    ):
+        raise JournalError(f"{path}: first line is not a valid open header")
+    del payload["crc"]
+    return payload
 
 
 class Journal:

@@ -2,8 +2,15 @@
 
 The write half of the store.  :func:`execute_spec` runs one campaign with
 every completed chunk journaled and fsync'd; :func:`resume_run` restarts
-an interrupted run from its journal's last durable record.  Three facts
-make the resumed output *bit-identical* to an uninterrupted run:
+an interrupted run from its journal's last durable record.  Both submit
+their one spec to a :class:`~repro.scheduler.CampaignScheduler`, so a
+single durable job lifecycle (:mod:`repro.scheduler.jobs`) serves them,
+``repro queue``, the service and the fleet.  This module keeps the
+durability primitives that lifecycle writes with
+(:func:`journal_chunk_records`, :func:`finalise_journal`).
+
+Three facts make the resumed output *bit-identical* to an uninterrupted
+run:
 
 1. every struck execution draws only from RNG streams derived from
    ``(seed, index)`` — records are a pure function of the spec and the
@@ -15,8 +22,10 @@ make the resumed output *bit-identical* to an uninterrupted run:
    :meth:`~repro.beam.campaign.Campaign.result_from_records` arithmetic
    either way.
 
-The golden kill-and-resume suite (``tests/store/test_resume.py``) pins
-this across serial/thread/process backends.
+Records are committed in chunk order, so a journal lists them in index
+order on every backend.  The golden kill-and-resume suite
+(``tests/store/test_resume.py``) pins this across serial/thread/process
+backends.
 """
 
 from __future__ import annotations
@@ -65,9 +74,8 @@ def journal_chunk_records(
 ) -> int:
     """Append one chunk's records and fsync them as a single batch.
 
-    The one durability unit shared by the journaled runner and the
-    multi-campaign scheduler: when this returns, the chunk survives a
-    crash.  Returns the number of records made durable.
+    The scheduler's durability unit: when this returns, the chunk
+    survives a crash.  Returns the number of records made durable.
     """
     for record in records:
         journal.append(
@@ -118,15 +126,6 @@ def finalise_journal(journal: Journal, result, *, sampling: "dict | None" = None
     journal.commit()
 
 
-def _journal_writer(journal: Journal):
-    """The executor ``on_chunk`` hook: one fsync'd batch per chunk."""
-
-    def on_chunk(chunk_no: int, records) -> None:
-        journal_chunk_records(journal, records)
-
-    return on_chunk
-
-
 def _resolve_sampling(sampling):
     """Normalise a sampling request (policy / wire dict / None)."""
     if sampling is None:
@@ -140,71 +139,6 @@ def _resolve_sampling(sampling):
     raise TypeError(
         f"sampling must be a SamplingPolicy or dict, not {type(sampling).__name__}"
     )
-
-
-def _run_adaptive_journaled(
-    campaign,
-    journal: Journal,
-    policy,
-    plan_rows: list,
-    records_by_index: dict,
-    *,
-    workers: "int | None" = None,
-    chunk_size: "int | None" = None,
-):
-    """Drive an adaptive campaign with plan rows and records journaled.
-
-    The durability protocol that makes adaptive kill-and-resume
-    byte-identical:
-
-    1. each round's ``plan`` row is committed *before* its indices
-       execute, so the decision that chose them can never be lost;
-    2. each round's records land as **one** commit batch sorted by index
-       — a torn write leaves a sorted prefix durable, and the resumed run
-       appends exactly the sorted remainder, reproducing the bytes an
-       uninterrupted run would have written;
-    3. on resume, the driver *replans* every journaled round and verifies
-       the recomputed row matches field for field
-       (:meth:`~repro.sampling.AdaptiveCampaign.replay`), so a journal
-       from a different spec or policy fails loudly instead of silently
-       diverging.
-
-    When ``plan_rows`` exist their journaled policy wins over the caller's
-    ``policy`` argument — the run must finish under the rules it started
-    with to reproduce the same stopping decision.
-    """
-    from repro.sampling import AdaptiveCampaign, SamplingPolicy
-
-    if plan_rows:
-        journaled = plan_rows[0].get("policy")
-        if journaled is None:
-            raise JournalError(
-                f"{journal.path}: first plan row carries no policy — "
-                "journal predates the sampling format"
-            )
-        policy = SamplingPolicy.from_dict(journaled)
-    driver = AdaptiveCampaign(campaign, policy)
-    missing = driver.replay(plan_rows, records_by_index) if plan_rows else []
-
-    def on_plan(plan) -> None:
-        journal.append("plan", **plan.payload)
-        journal.commit()
-
-    def on_records(records) -> None:
-        journal_chunk_records(
-            journal, sorted(records, key=lambda record: record.index)
-        )
-
-    result = campaign.run_adaptive(
-        driver=driver,
-        resume_missing=missing or None,
-        workers=workers,
-        chunk_size=chunk_size,
-        on_plan=on_plan,
-        on_records=on_records,
-    )
-    finalise_journal(journal, result, sampling=result.aux["sampling"])
-    return result
 
 
 def execute_spec(
@@ -225,6 +159,12 @@ def execute_spec(
     * stored and complete → content-addressed cache hit (with ``reuse``),
       returning the stored result without simulating anything.
 
+    The spec runs as the only job of a
+    :class:`~repro.scheduler.CampaignScheduler` — the same lifecycle
+    ``repro queue`` and the service use — with retries off: a failed
+    chunk raises its :class:`~repro.beam.executor.CampaignExecutionError`
+    and leaves the journal resumable.
+
     ``sampling`` (a :class:`~repro.sampling.SamplingPolicy` or its wire
     dict) switches the run to adaptive importance sampling — like the
     worker count it is execution strategy, **not** spec identity, so the
@@ -235,77 +175,23 @@ def execute_spec(
     even when ``sampling`` is passed — switching strategies mid-journal
     would break the byte-identical resume guarantee.
     """
-    run_id = spec.run_id()
-    stored = store.load(run_id) if store.has(run_id) else None
-    return _execute_stored(
-        store, spec, stored, workers=workers, chunk_size=chunk_size,
-        timeout=timeout, backend=backend, sampling=sampling, reuse=reuse,
-    )
+    from repro.scheduler.retry import FAIL_FAST
+    from repro.scheduler.scheduler import CampaignScheduler
 
-
-def _execute_stored(
-    store, spec, stored, *, workers, chunk_size, timeout, backend, sampling,
-    reuse,
-) -> RunOutcome:
-    """:func:`execute_spec` once the spec's stored run (if any) is loaded."""
-    run_id = spec.run_id()
-    if stored is not None and stored.status == "complete" and reuse:
-        _note_run(spec, "cached")
-        return RunOutcome(
-            run_id=run_id, result=stored.result(),
-            resumed=len(stored.rows), cached=True,
-        )
-    campaign = spec.build_campaign(
-        workers=workers, chunk_size=chunk_size, timeout=timeout,
-        backend=backend,
+    scheduler = CampaignScheduler(
+        store, workers=workers, chunk_size=chunk_size, backend=backend,
+        timeout=timeout, retry=FAIL_FAST, reuse=reuse,
     )
-    policy = _resolve_sampling(sampling)
-    if stored is None:
-        if policy is not None:
-            journal = store.create_run(spec)
-            try:
-                result = _run_adaptive_journaled(
-                    campaign, journal, policy, [], {},
-                    workers=workers, chunk_size=chunk_size,
-                )
-            finally:
-                journal.close()
-            _note_run(spec, "fresh")
-            return RunOutcome(run_id=run_id, result=result)
-        journal = store.create_run(spec)
-        done: set = set()
-        prior: list = []
-    else:
-        journal = store.open_run(run_id)  # truncates any torn tail
-        plan_rows = journal.records("plan")
-        if plan_rows:
-            records_by_index = {
-                record.index: record for record in stored.records()
-            }
-            try:
-                result = _run_adaptive_journaled(
-                    campaign, journal, policy, plan_rows, records_by_index,
-                    workers=workers, chunk_size=chunk_size,
-                )
-            finally:
-                journal.close()
-            _note_run(spec, "resumed")
-            return RunOutcome(
-                run_id=run_id, result=result, resumed=len(records_by_index)
-            )
-        done = journal.done_indices()
-        prior = stored.records()
-    try:
-        result = campaign.run(
-            skip_indices=done or None,
-            prior_records=prior or None,
-            on_chunk=_journal_writer(journal),
-        )
-        finalise_journal(journal, result)
-    finally:
-        journal.close()
-    _note_run(spec, "resumed" if done else "fresh")
-    return RunOutcome(run_id=run_id, result=result, resumed=len(done))
+    scheduler.submit(spec, sampling=sampling)
+    (outcome,) = scheduler.run()
+    if outcome.error is not None:
+        raise outcome.error
+    cached = outcome.status == "cached"
+    _note_run("cached" if cached else "resumed" if outcome.resumed else "fresh")
+    return RunOutcome(
+        run_id=outcome.run_id, result=outcome.result,
+        resumed=outcome.resumed, cached=cached,
+    )
 
 
 def resume_run(
@@ -326,22 +212,22 @@ def resume_run(
     close record.  Completing an already-complete run is a no-op cache
     hit.  An adaptive journal (one holding ``plan`` rows) resumes
     adaptively under its journaled policy regardless of ``sampling``.
-    The journal is scanned twice: once to load it, once to reopen it for
-    append.
+    Past its header line the journal is scanned twice: once to load it,
+    once to reopen it for append.
     """
     if not store.has(run_id):
         raise JournalError(
             f"no stored run {run_id!r} under {store.root} "
             f"(known: {', '.join(store.run_ids()) or 'none'})"
         )
-    stored = store.load(run_id)
-    return _execute_stored(
-        store, stored.spec, stored, workers=workers, chunk_size=chunk_size,
-        timeout=timeout, backend=backend, sampling=sampling, reuse=True,
+    return execute_spec(
+        store, store.spec_for(run_id), workers=workers,
+        chunk_size=chunk_size, timeout=timeout, backend=backend,
+        sampling=sampling,
     )
 
 
-def _note_run(spec: CampaignSpec, outcome: str) -> None:
+def _note_run(outcome: str) -> None:
     """Fold one store-run event into the observability switchboard."""
     metrics = obs_runtime.get_metrics()
     if metrics is not None:

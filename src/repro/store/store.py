@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util.text import format_table
-from repro.store.journal import JOURNAL_FORMAT_VERSION, Journal, JournalError
+from repro.store.journal import (
+    JOURNAL_FORMAT_VERSION,
+    Journal,
+    JournalError,
+    read_header,
+)
 from repro.store.spec import CampaignSpec
 
 __all__ = ["RunStatus", "RunSummary", "StoredRun", "CampaignStore"]
@@ -184,11 +189,15 @@ class CampaignStore:
     # -- loading -----------------------------------------------------------------
 
     @staticmethod
-    def _spec_of(journal: Journal) -> CampaignSpec:
-        header = journal.header
+    def _spec_of(header: dict, path: Path) -> CampaignSpec:
         if "spec" not in header:
-            raise JournalError(f"{journal.path}: journal header has no spec")
+            raise JournalError(f"{path}: journal header has no spec")
         return CampaignSpec.from_dict(header["spec"])
+
+    def spec_for(self, run_id: str) -> CampaignSpec:
+        """A stored run's spec, read from its journal header alone."""
+        path = self.path_for(run_id)
+        return self._spec_of(read_header(path), path)
 
     def load(self, run_id: str) -> StoredRun:
         """Load one run's durable state (read-only; no tail truncation)."""
@@ -196,7 +205,7 @@ class CampaignStore:
         rows = [record["row"] for record in journal.records("record")]
         return StoredRun(
             run_id=journal.header.get("run_id", run_id),
-            spec=self._spec_of(journal),
+            spec=self._spec_of(journal.header, journal.path),
             rows=rows,
             close=journal.close_record,
             created=journal.header.get("created", 0.0),

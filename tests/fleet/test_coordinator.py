@@ -444,3 +444,48 @@ def test_adaptive_campaign_matches_pool_run(tmp_path):
     assert fleet_lines == reference_lines(
         tmp_path, spec_dict, sampling=dict(sampling)
     )
+
+
+def test_adaptive_job_counted_once_by_scheduler_and_fleet(tmp_path):
+    """The shared seal step counts a job the same on either dispatcher."""
+    from repro.observability import observe
+    from repro.scheduler import CampaignScheduler
+
+    sampling = {"round_size": 4, "max_executions": 12}
+    spec = CampaignSpec.from_dict(dict(TINY_SPEC, n_faulty=24))
+
+    fleet_metrics = MetricsRegistry()
+    coordinator = make_coordinator(tmp_path, Clock(), metrics=fleet_metrics)
+    run_id = coordinator.admit(spec, sampling=dict(sampling)).run_id
+    drain_fleet(coordinator)
+    fleet_sampling = coordinator._jobs[run_id].result.aux["sampling"]
+
+    pool_metrics = MetricsRegistry()
+    scheduler = CampaignScheduler(
+        CampaignStore(tmp_path / "pool-store"), backend="serial", chunk_size=2
+    )
+    scheduler.submit(spec, sampling=dict(sampling))
+    with observe(metrics=pool_metrics):
+        (outcome,) = scheduler.run()
+    assert outcome.result.aux["sampling"] == fleet_sampling
+
+    labels = {"kernel": "dgemm", "device": "k40"}
+    expected = {
+        "campaigns": 1,
+        "rounds": fleet_sampling["rounds"],
+        "strikes": fleet_sampling["executed"],
+        "stops": 1,
+    }
+    for metrics in (fleet_metrics, pool_metrics):
+        assert {
+            "campaigns": metrics.get("repro_campaigns_total").value(
+                mode="adaptive", **labels
+            ),
+            "rounds": metrics.get("repro_sampling_rounds_total").value(
+                **labels
+            ),
+            "strikes": metrics.get("repro_sampling_strikes_total").value(
+                **labels
+            ),
+            "stops": metrics.get("repro_sampling_stops_total").total(),
+        } == expected

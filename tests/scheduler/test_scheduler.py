@@ -311,3 +311,94 @@ class TestDrain:
         resumed = resume_run(store, run_id, backend="serial")
         assert store.load(run_id).status == "complete"
         assert resumed.result.n_executions == 12
+
+
+class TestBackendChoice:
+    """The executor's backend rule: small or 1-worker runs stay inline."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        from repro.beam.executor import CampaignExecutor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an inline run must not build a pool")
+
+        for name in ("_make_pool", "_export_shared_golden"):
+            monkeypatch.setattr(CampaignExecutor, name, staticmethod(refuse))
+
+    def chunk_backends(self, sink) -> set:
+        return {
+            event.attrs["backend"]
+            for event in sink.events()
+            if event.kind == "chunk"
+        }
+
+    def test_one_worker_runs_inline(self, tmp_path, observed, no_pool):
+        sink, _ = observed
+        scheduler = CampaignScheduler(
+            CampaignStore(tmp_path), workers=1, chunk_size=8
+        )
+        scheduler.submit(spec(1, n_faulty=40))
+        (outcome,) = scheduler.run()
+        assert outcome.status == "complete"
+        assert self.chunk_backends(sink) == {"serial"}
+
+    def test_too_few_strikes_run_inline(self, tmp_path, observed, no_pool):
+        sink, _ = observed
+        scheduler = CampaignScheduler(
+            CampaignStore(tmp_path), workers=2, chunk_size=3
+        )
+        scheduler.submit(spec(1))  # 12 strikes < MIN_PARALLEL_STRIKES
+        (outcome,) = scheduler.run()
+        assert outcome.status == "complete"
+        assert self.chunk_backends(sink) == {"serial"}
+
+
+class TestCompletionCounters:
+    """Every sealed durable job is counted once, with only its own work."""
+
+    LABELS = {"kernel": "dgemm", "device": "k40"}
+
+    def test_execute_spec_counts_a_fixed_job_once(self, tmp_path, observed):
+        _, metrics = observed
+        store = CampaignStore(tmp_path)
+        execute_spec(store, spec(1), backend="serial")
+        assert execute_spec(store, spec(1), backend="serial").cached
+        campaigns = metrics.get("repro_campaigns_total")
+        assert campaigns.value(mode="accelerated", **self.LABELS) == 1
+        assert campaigns.total() == 1
+
+    def test_resumed_adaptive_job_counts_only_its_own_work(self, tmp_path):
+        from repro.observability import MetricsRegistry, observe
+        from repro.sampling import SamplingPolicy
+
+        big = spec(11, n_faulty=40)
+        policy = SamplingPolicy(target_ci=0.05, round_size=10)
+        reference = CampaignStore(tmp_path / "reference")
+        sampling = execute_spec(
+            reference, big, backend="serial", sampling=policy
+        ).result.aux["sampling"]
+        lines = reference.path_for(big.run_id()).read_bytes().splitlines(
+            keepends=True
+        )
+        plans = [i for i, line in enumerate(lines) if b'"kind": "plan"' in line]
+        assert len(plans) >= 2, "policy must yield at least two rounds"
+        # Killed two records into round 1: round 0 and part of round 1 are
+        # durable, so the resume runs the rest of round 1 and every later
+        # round.
+        store = CampaignStore(tmp_path / "killed")
+        store.path_for(big.run_id()).write_bytes(b"".join(lines[:plans[1] + 3]))
+        durable = len(store.load(big.run_id()).rows)
+
+        metrics = MetricsRegistry()
+        with observe(metrics=metrics):
+            outcome = resume_run(store, big.run_id(), backend="serial")
+        assert outcome.result.aux["sampling"] == sampling
+        rounds = metrics.get("repro_sampling_rounds_total")
+        strikes = metrics.get("repro_sampling_strikes_total")
+        assert rounds.value(**self.LABELS) == sampling["rounds"] - 1
+        assert strikes.value(**self.LABELS) == sampling["executed"] - durable
+        assert metrics.get("repro_sampling_stops_total").total() == 1
+        assert metrics.get("repro_campaigns_total").value(
+            mode="adaptive", **self.LABELS
+        ) == 1

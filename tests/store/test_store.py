@@ -67,6 +67,15 @@ class TestLifecycle:
         with pytest.raises(JournalError, match="no stored run"):
             resume_run(store, "deadbeefdeadbeef")
 
+    def test_resume_with_a_damaged_header_raises(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        s = spec()
+        store.create_run(s).close()
+        path = store.path_for(s.run_id())
+        path.write_bytes(path.read_bytes().replace(b'"open"', b'"opem"'))
+        with pytest.raises(JournalError, match="not a valid open header"):
+            resume_run(store, s.run_id())
+
 
 class TestQueries:
     def _populate(self, tmp_path):

@@ -222,6 +222,37 @@ class TestStoreVerbs:
         assert "incomplete" in out
         assert f"repro resume {spec.run_id()}" in out
 
+    def test_resume_reports_a_failed_chunk_and_exits_1(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.beam.executor import ChunkWorkerError
+        from repro.scheduler import scheduler
+        from repro.store import CampaignSpec, CampaignStore
+
+        def failing_runner(kernel, device, seed, threshold_pct, indices,
+                           instrument=False):
+            raise ChunkWorkerError(indices[0], "injected chunk failure")
+
+        # The scheduler's default chunk runner: every chunk of the resume.
+        monkeypatch.setattr(scheduler, "_run_chunk", failing_runner)
+        store_dir = str(tmp_path / "store")
+        spec = CampaignSpec(
+            kernel="dgemm", device="k40", config={"n": 16}, seed=3, n_faulty=6
+        )
+        CampaignStore(store_dir).create_run(spec).close()
+        code = main(
+            ["resume", spec.run_id(), "--store", store_dir,
+             "--backend", "serial"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failed: ")
+        assert "injected chunk failure" in err
+        assert "Traceback" not in err
+        assert CampaignStore(store_dir).load(spec.run_id()).status == (
+            "incomplete"
+        )
+
 
 @pytest.mark.telemetry
 class TestObservabilityFlags:
